@@ -1,13 +1,17 @@
-// BM_Wal* / BM_Snapshot* / BM_Recovery — the durability benchmark
-// family.
+// BM_Wal* / BM_Snapshot* / BM_Recovery / BM_PinnedEdit / BM_FromGraph /
+// BM_ToGraph — the durability benchmark family.
 //
-// Measures the three costs the durability layer adds to the serving
-// path, over one synthetic graph and edit stream:
+// Measures the costs the durability layer and its copy-on-write graph
+// add to the serving path, over synthetic graphs and edit streams:
 //
 //   BM_WalAppend/batched   append throughput, one fsync at the end
 //   BM_WalAppend/durable   append with fsync-per-record (sync_every=1)
 //   BM_SnapshotWrite       full checksummed image + atomic publish
 //   BM_Recovery            snapshot load + WAL suffix replay + engine
+//   BM_PinnedEdit/<n>      the first edit after a snapshot pin (page
+//                          table copy + <= 2 page clones), at two sizes
+//   BM_FromGraph/<n>       CSR -> DynamicGraph load (set-up, recovery)
+//   BM_ToGraph/<n>         DynamicGraph -> CSR freeze (per-epoch CSR)
 //
 // All files live in a scratch directory under the system temp path;
 // nothing persists after the run. The report's `metrics` member carries
@@ -23,12 +27,14 @@
 // Usage: durability_bench [--out=PATH]
 //                         (default: bench/out/BENCH_durability.json)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -55,6 +61,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr int kNodes = 2048;
+constexpr int kLargeNodes = 131072;
 constexpr int kEdits = 1024;
 constexpr int kDurableEdits = 128;  // fsync per record: keep it short.
 constexpr std::int64_t kSnapshotEpoch = kEdits / 2;
@@ -96,11 +103,12 @@ int Run(int argc, char** argv) {
   const std::vector<durability::WalRecord> edits = MakeEdits(kNodes, kEdits);
 
   std::vector<BenchRecord> records;
-  auto emit = [&](const std::string& name, double ns_per_iter) {
+  auto emit = [&](const std::string& name, double ns_per_iter,
+                  const Graph& graph) {
     BenchRecord r;
     r.bench = name;
-    r.n = kNodes;
-    r.m = base.NumEdges();
+    r.n = graph.NumNodes();
+    r.m = graph.NumEdges();
     r.threads = ImpregNumThreads();
     r.ns_per_iter = ns_per_iter;
     records.push_back(r);
@@ -128,7 +136,7 @@ int Run(int argc, char** argv) {
       total += NowNs() - start;
       wal.Close();
     }
-    emit("BM_WalAppend/batched", total / (kReps * kEdits));
+    emit("BM_WalAppend/batched", total / (kReps * kEdits), base);
   }
 
   // BM_WalAppend/durable: fsync per record — the per-edit durability
@@ -145,7 +153,7 @@ int Run(int argc, char** argv) {
     }
     const double total = NowNs() - start;
     wal.Close();
-    emit("BM_WalAppend/durable", total / kDurableEdits);
+    emit("BM_WalAppend/durable", total / kDurableEdits, base);
   }
 
   // The recovery scene both remaining benches share: a snapshot halfway
@@ -179,7 +187,7 @@ int Run(int argc, char** argv) {
                                              kEdits, graph, {})
                        .status == SolveStatus::kConverged);
     }
-    emit("BM_SnapshotWrite", (NowNs() - start) / kReps);
+    emit("BM_SnapshotWrite", (NowNs() - start) / kReps, base);
   }
 
   // BM_Recovery: the full ladder — newest snapshot, WAL read + suffix
@@ -198,7 +206,56 @@ int Run(int argc, char** argv) {
       IMPREG_CHECK(report.status == SolveStatus::kConverged);
       recovered_epoch = report.epoch;
     }
-    emit("BM_Recovery", (NowNs() - start) / kReps);
+    emit("BM_Recovery", (NowNs() - start) / kReps, base);
+  }
+
+  // BM_PinnedEdit/<n>: what a serving edit pays while a batch holds its
+  // snapshot — pin, edit (page table copy + <= 2 page clones), release.
+  // The best of several passes, so a preempted pass cannot trip the
+  // gate. The large size would cost O(n + m) per edit with a
+  // whole-graph copy-on-write.
+  Rng large_rng(9);
+  const Graph large =
+      ErdosRenyi(kLargeNodes, 8.0 / (kLargeNodes - 1), large_rng);
+  constexpr int kPasses = 5;
+  for (const Graph* g : {&base, &large}) {
+    const std::vector<durability::WalRecord> stream =
+        MakeEdits(g->NumNodes(), kEdits / 2);
+    double best = std::numeric_limits<double>::infinity();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      DynamicGraph live = DynamicGraph::FromGraph(*g);
+      const double start = NowNs();
+      for (const auto& e : stream) {
+        const DynamicGraph::SnapshotView pin = live.Snapshot();
+        live.AddEdge(e.u, e.v, e.weight);
+      }
+      best = std::min(best, (NowNs() - start) / stream.size());
+    }
+    emit("BM_PinnedEdit/" + std::to_string(g->NumNodes()), best, *g);
+  }
+
+  // BM_FromGraph / BM_ToGraph: the bulk conversions — set-up and
+  // recovery load every graph with FromGraph; the engine freezes a
+  // CSR per epoch with ToGraph (here of a graph with edited rows).
+  {
+    double best_from = std::numeric_limits<double>::infinity();
+    double best_to = std::numeric_limits<double>::infinity();
+    DynamicGraph edited = DynamicGraph::FromGraph(large);
+    for (const auto& e : MakeEdits(kLargeNodes, kEdits)) {
+      edited.AddEdge(e.u, e.v, e.weight);
+    }
+    for (int pass = 0; pass < kPasses; ++pass) {
+      double start = NowNs();
+      const DynamicGraph loaded = DynamicGraph::FromGraph(large);
+      best_from = std::min(best_from, NowNs() - start);
+      IMPREG_CHECK(loaded.NumEdges() == large.NumEdges());
+      start = NowNs();
+      const Graph frozen = edited.ToGraph();
+      best_to = std::min(best_to, NowNs() - start);
+      IMPREG_CHECK(frozen.NumEdges() == edited.NumEdges());
+    }
+    emit("BM_FromGraph/" + std::to_string(kLargeNodes), best_from, large);
+    emit("BM_ToGraph/" + std::to_string(kLargeNodes), best_to, large);
   }
 
   // The reproducible half of the run: counts that must be identical on

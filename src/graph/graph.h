@@ -40,6 +40,7 @@ struct Arc {
   double weight = 1.0;
 };
 
+class DynamicGraph;
 class GraphBuilder;
 
 /// Immutable weighted undirected graph.
@@ -229,6 +230,7 @@ class Graph {
   bool RowsSorted() const { return rows_sorted_; }
 
  private:
+  friend class DynamicGraph;  // ToGraph fills the arrays Build() would.
   friend class GraphBuilder;
   friend Graph ApplyNodePermutation(const Graph& g,
                                     const std::vector<NodeId>& perm);

@@ -273,6 +273,8 @@ std::string QueryEngine::CanonicalKey(const Query& query) {
 
 const Graph& QueryEngine::Frozen(const DynamicGraph::SnapshotView& snap) {
   if (frozen_ == nullptr || frozen_epoch_ != snap.epoch()) {
+    IMPREG_METRIC_TIMER("service.engine.freeze_ns");
+    IMPREG_METRIC_COUNT("service.engine.freezes", 1);
     frozen_ = std::make_unique<Graph>(snap.graph().ToGraph());
     frozen_epoch_ = snap.epoch();
   }

@@ -206,8 +206,9 @@ class QueryEngine {
   /// demoted to warm-restart-only service (surgical invalidation;
   /// counted in service.cache.region_evicted / region_demoted) —
   /// entries elsewhere keep serving exact bits. Pinned snapshot views
-  /// are unaffected — the graph clones its shared representation
-  /// before mutating (copy-on-write).
+  /// are unaffected — the graph copies its page table and clones the
+  /// ≤ 2 pages it writes before mutating them (copy-on-write, O(deg)
+  /// plus two page copies; see streaming/dynamic_graph.h).
   void AddEdge(NodeId u, NodeId v, double weight = 1.0);
 
   /// Removes weight from undirected edge {u, v}
@@ -221,7 +222,8 @@ class QueryEngine {
   /// Pins the current (graph, epoch) as an immutable O(1) view. A batch
   /// run against the view answers at exactly that epoch no matter how
   /// many AddEdges land in between — the snapshot-isolated serving
-  /// contract (see docs/durability.md).
+  /// contract (see docs/durability.md). Release the view on the thread
+  /// that edits the engine (DynamicGraph's one-writer rule).
   DynamicGraph::SnapshotView PinSnapshot() const {
     return graph_.Snapshot(epoch_);
   }

@@ -1,20 +1,22 @@
 #include "streaming/dynamic_graph.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
+#include "core/metrics.h"
 #include "util/check.h"
 
 namespace impreg {
 
 namespace {
 
-/// The canonical degree fold: left to right over the row, exactly the
-/// order GraphBuilder::Build accumulates. Recomputed after every row
-/// mutation so removal restores the pre-insertion bits.
+/// The canonical degree fold: left to right over the row in insertion
+/// order. Recomputed after every row mutation so removal restores the
+/// pre-insertion bits.
 double RowSum(const std::vector<DynamicGraph::Neighbor>& row) {
   double sum = 0.0;
   for (const DynamicGraph::Neighbor& n : row) sum += n.weight;
@@ -31,18 +33,40 @@ std::uint64_t ArcKey(NodeId u, NodeId v) {
 DynamicGraph::DynamicGraph(NodeId num_nodes)
     : rep_(std::make_shared<Rep>()) {
   IMPREG_CHECK(num_nodes >= 0);
-  rep_->adjacency.resize(num_nodes);
-  rep_->degrees.assign(num_nodes, 0.0);
+  rep_->num_nodes = num_nodes;
+  rep_->pages.resize((static_cast<std::size_t>(num_nodes) + kPageRows - 1) /
+                     kPageRows);
+  for (std::shared_ptr<Page>& page : rep_->pages) {
+    page = std::make_shared<Page>();
+  }
 }
 
 DynamicGraph DynamicGraph::FromGraph(const Graph& g) {
-  DynamicGraph dynamic(g.NumNodes());
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+  const NodeId n = g.NumNodes();
+  DynamicGraph dynamic(n);
+  Rep& rep = *dynamic.rep_;
+  auto row = [&rep](NodeId u) -> std::vector<Neighbor>& {
+    return rep.pages[PageIndex(u)]->rows[Slot(u)];
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    row(u).reserve(static_cast<std::size_t>(g.OutDegree(u)));
+  }
+  // The AddEdge(u, head ≥ u) loop without its duplicate scans (CSR rows
+  // hold each head once): lower rows have already appended their arcs
+  // to row u in ascending order, so row u is complete — and its degree
+  // final — once its own head ≥ u arcs follow in CSR order. Mirrored
+  // entries take the tail row's weight, as AddEdge does.
+  for (NodeId u = 0; u < n; ++u) {
     const auto heads = g.Heads(u);
     const auto weights = g.Weights(u);
+    std::vector<Neighbor>& own = row(u);
     for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i] >= u) dynamic.AddEdge(u, heads[i], weights[i]);
+      if (heads[i] < u) continue;
+      own.push_back({heads[i], weights[i]});
+      if (heads[i] != u) row(heads[i]).push_back({u, weights[i]});
+      ++rep.num_edges;
     }
+    rep.pages[PageIndex(u)]->degrees[Slot(u)] = RowSum(own);
   }
   return dynamic;
 }
@@ -94,28 +118,58 @@ DynamicGraph DynamicGraph::FromParts(
   IMPREG_CHECK_MSG(arcs == 2 * num_edges - self_loops,
                    "arc count disagrees with the declared edge count");
   DynamicGraph dynamic(n);
-  dynamic.rep_->adjacency = std::move(adjacency);
-  dynamic.rep_->degrees = std::move(degrees);
+  for (NodeId u = 0; u < n; ++u) {
+    Page& page = *dynamic.rep_->pages[PageIndex(u)];
+    page.rows[Slot(u)] = std::move(adjacency[u]);
+    page.degrees[Slot(u)] = degrees[u];
+  }
   dynamic.rep_->num_edges = num_edges;
   return dynamic;
 }
 
-void DynamicGraph::EnsureUnique() {
+DynamicGraph::Parts DynamicGraph::ExportParts() const {
+  Parts parts;
+  parts.adjacency.reserve(static_cast<std::size_t>(NumNodes()));
+  parts.degrees.reserve(static_cast<std::size_t>(NumNodes()));
+  for (NodeId u = 0; u < NumNodes(); ++u) {
+    parts.adjacency.push_back(Neighbors(u));
+    parts.degrees.push_back(Degree(u));
+  }
+  parts.num_edges = NumEdges();
+  parts.total_volume = TotalVolume();
+  return parts;
+}
+
+std::pair<DynamicGraph::Page*, DynamicGraph::Page*>
+DynamicGraph::WritablePages(NodeId u, NodeId v) {
   // One writer by contract, so use_count() is stable from this thread's
   // point of view: pinned views only appear via Snapshot()/copies made
-  // on this thread before the mutation.
-  if (rep_.use_count() > 1) rep_ = std::make_shared<Rep>(*rep_);
+  // — and are only released — on this thread.
+  if (rep_.use_count() > 1) {
+    rep_ = std::make_shared<Rep>(*rep_);
+    IMPREG_METRIC_COUNT("streaming.graph.table_clones", 1);
+  }
+  auto writable = [this](NodeId w) {
+    std::shared_ptr<Page>& page = rep_->pages[PageIndex(w)];
+    if (page.use_count() > 1) {
+      page = std::make_shared<Page>(*page);
+      IMPREG_METRIC_COUNT("streaming.graph.page_clones", 1);
+    }
+    return page.get();
+  };
+  Page* page_u = writable(u);
+  return {page_u, writable(v)};
 }
 
 double DynamicGraph::TotalVolume() const {
   double volume = 0.0;
-  for (double d : rep_->degrees) volume += d;
+  for (NodeId u = 0; u < NumNodes(); ++u) volume += Degree(u);
   return volume;
 }
 
 double DynamicGraph::EdgeWeight(NodeId u, NodeId v) const {
   if (u < 0 || u >= NumNodes() || v < 0 || v >= NumNodes()) return 0.0;
-  for (const Neighbor& n : rep_->adjacency[u]) {
+  for (const Neighbor& n : Neighbors(u)) {
     if (n.head == v) return n.weight;
   }
   return 0.0;
@@ -125,46 +179,47 @@ void DynamicGraph::AddEdge(NodeId u, NodeId v, double weight) {
   IMPREG_CHECK(u >= 0 && u < NumNodes() && v >= 0 && v < NumNodes());
   IMPREG_CHECK_MSG(std::isfinite(weight) && weight > 0.0,
                    "edge weights must be finite and strictly positive");
-  EnsureUnique();
-  Rep& rep = *rep_;
-  auto bump = [&](NodeId from, NodeId to) {
-    for (Neighbor& n : rep.adjacency[from]) {
+  const auto [page_u, page_v] = WritablePages(u, v);
+  std::vector<Neighbor>& row_u = page_u->rows[Slot(u)];
+  std::vector<Neighbor>& row_v = page_v->rows[Slot(v)];
+  auto bump = [weight](std::vector<Neighbor>& row, NodeId to) {
+    for (Neighbor& n : row) {
       if (n.head == to) {
         n.weight += weight;
         return true;
       }
     }
-    rep.adjacency[from].push_back({to, weight});
+    row.push_back({to, weight});
     return false;
   };
-  const bool existed = bump(u, v);
-  if (u != v) bump(v, u);
-  if (!existed) ++rep.num_edges;
-  rep.degrees[u] = RowSum(rep.adjacency[u]);
-  if (u != v) rep.degrees[v] = RowSum(rep.adjacency[v]);
+  const bool existed = bump(row_u, v);
+  if (u != v) bump(row_v, u);
+  if (!existed) ++rep_->num_edges;
+  page_u->degrees[Slot(u)] = RowSum(row_u);
+  if (u != v) page_v->degrees[Slot(v)] = RowSum(row_v);
 }
 
 void DynamicGraph::RemoveEdge(NodeId u, NodeId v, double weight) {
   IMPREG_CHECK(u >= 0 && u < NumNodes() && v >= 0 && v < NumNodes());
   IMPREG_CHECK_MSG(std::isfinite(weight) && weight >= 0.0,
                    "removal weight must be finite and non-negative");
-  EnsureUnique();
-  Rep& rep = *rep_;
-  auto find = [&](NodeId from, NodeId to) -> Neighbor* {
-    for (Neighbor& n : rep.adjacency[from]) {
+  const auto [page_u, page_v] = WritablePages(u, v);
+  std::vector<Neighbor>& row_u = page_u->rows[Slot(u)];
+  std::vector<Neighbor>& row_v = page_v->rows[Slot(v)];
+  auto find = [](std::vector<Neighbor>& row, NodeId to) -> Neighbor* {
+    for (Neighbor& n : row) {
       if (n.head == to) return &n;
     }
     return nullptr;
   };
-  Neighbor* forward = find(u, v);
+  Neighbor* forward = find(row_u, v);
   IMPREG_CHECK_MSG(forward != nullptr, "RemoveEdge: no such edge");
   const double stored = forward->weight;
   IMPREG_CHECK_MSG(weight <= stored,
                    "RemoveEdge: removal weight exceeds the stored weight");
   const bool full = weight == 0.0 || weight == stored;
   if (full) {
-    auto erase = [&](NodeId from, NodeId to) {
-      std::vector<Neighbor>& row = rep.adjacency[from];
+    auto erase = [](std::vector<Neighbor>& row, NodeId to) {
       for (std::size_t i = 0; i < row.size(); ++i) {
         if (row[i].head == to) {
           // Order-preserving erase: surviving entries keep their
@@ -174,33 +229,64 @@ void DynamicGraph::RemoveEdge(NodeId u, NodeId v, double weight) {
         }
       }
     };
-    erase(u, v);
-    if (u != v) erase(v, u);
-    --rep.num_edges;
+    erase(row_u, v);
+    if (u != v) erase(row_v, u);
+    --rep_->num_edges;
   } else {
     // One subtraction, mirrored bitwise (both stored weights were
     // accumulated by the identical sequence, so they are equal going
     // in and stay equal coming out).
     forward->weight = stored - weight;
     if (u != v) {
-      Neighbor* backward = find(v, u);
+      Neighbor* backward = find(row_v, u);
       IMPREG_CHECK_MSG(backward != nullptr,
                        "RemoveEdge: asymmetric adjacency");
       backward->weight = stored - weight;
     }
   }
-  rep.degrees[u] = RowSum(rep.adjacency[u]);
-  if (u != v) rep.degrees[v] = RowSum(rep.adjacency[v]);
+  page_u->degrees[Slot(u)] = RowSum(row_u);
+  if (u != v) page_v->degrees[Slot(v)] = RowSum(row_v);
 }
 
 Graph DynamicGraph::ToGraph() const {
-  GraphBuilder builder(NumNodes());
-  for (NodeId u = 0; u < NumNodes(); ++u) {
-    for (const Neighbor& n : rep_->adjacency[u]) {
-      if (n.head >= u) builder.AddEdge(u, n.head, n.weight);
-    }
+  // GraphBuilder::Build over this graph's head ≥ u edges, without the
+  // builder: rows hold each head once and mirrored arcs carry equal
+  // weight bits, so sorting each row by head is exactly the builder's
+  // scatter + sort + merge.
+  const NodeId n = NumNodes();
+  Graph g;
+  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    g.offsets_[u + 1] =
+        g.offsets_[u] + static_cast<ArcIndex>(Neighbors(u).size());
   }
-  return builder.Build();
+  g.heads_.resize(static_cast<std::size_t>(g.offsets_[n]));
+  g.weights_.resize(static_cast<std::size_t>(g.offsets_[n]));
+  g.degrees_.assign(static_cast<std::size_t>(n), 0.0);
+  const auto by_head = [](const Neighbor& a, const Neighbor& b) {
+    return a.head < b.head;
+  };
+  std::vector<Neighbor> sorted;
+  for (NodeId u = 0; u < n; ++u) {
+    const std::vector<Neighbor>* row = &Neighbors(u);
+    if (!std::is_sorted(row->begin(), row->end(), by_head)) {
+      sorted.assign(row->begin(), row->end());
+      std::sort(sorted.begin(), sorted.end(), by_head);
+      row = &sorted;
+    }
+    // Build's left-to-right degree fold and ascending volume sum.
+    ArcIndex a = g.offsets_[u];
+    double degree = 0.0;
+    for (const Neighbor& nb : *row) {
+      g.heads_[a] = nb.head;
+      g.weights_[a++] = nb.weight;
+      degree += nb.weight;
+      if (nb.head >= u) ++g.num_edges_;
+    }
+    g.degrees_[u] = degree;
+    g.total_volume_ += degree;
+  }
+  return g;
 }
 
 }  // namespace impreg

@@ -1,8 +1,11 @@
 #ifndef IMPREG_STREAMING_DYNAMIC_GRAPH_H_
 #define IMPREG_STREAMING_DYNAMIC_GRAPH_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -13,29 +16,41 @@
 /// Personalized PageRank on evolving networks [6]) — insertions *and*
 /// removals, the full evolving-network model.
 ///
-/// Storage is copy-on-write: copying a DynamicGraph (and taking a
-/// Snapshot()) is O(1) — both share one immutable representation until
-/// the next mutation, which clones it first. That is what lets the
+/// ## Paged copy-on-write storage
+///
+/// Rows live in fixed pages of `kPageRows` (256) nodes: each page holds
+/// those nodes' neighbor rows and their degrees, and the representation
+/// is a table of `shared_ptr<Page>` plus the edge count. Copying a
+/// DynamicGraph (and taking a Snapshot()) shares the whole table in
+/// O(1). The first mutation after such a pin copies only the table
+/// (n / 256 page pointers); each mutation then clones at most the two
+/// pages it writes, and only when another generation still shares
+/// them — later edits to an already-cloned page in the same generation
+/// write in place. So an edit under a pinned batch costs O(deg) plus
+/// at most two page copies, never O(n + m). That is what lets the
 /// serving tier pin a frozen epoch view for a query batch while ingest
 /// keeps landing edits on the live graph (SnapshotView below), and
 /// what the durability layer serializes: the representation preserves
 /// per-node neighbor insertion order and exact degree bits, so a
 /// snapshot+WAL-replayed graph is bit-identical to one that never
-/// crashed (src/service/durability/).
+/// crashed (src/service/durability/). Paging is invisible to every
+/// accessor: `Neighbors`, `Degree`, `ExportParts` and the snapshot/WAL
+/// formats see plain rows. The metrics `streaming.graph.table_clones`
+/// and `streaming.graph.page_clones` count the copy-on-write work.
 ///
 /// ## Canonical accounting
 ///
 /// Degrees are *canonical row sums*: after any mutation of a row, the
 /// degree is recomputed as the left-to-right fold over that row's
-/// neighbor weights — exactly the fold `GraphBuilder::Build` uses, so
-/// `FromGraph` degrees are bitwise the CSR degrees. Volume is the
-/// ascending-node-order sum of degrees, computed on demand (cold
-/// paths only — the kernels read degrees, not volume). Canonical
-/// accounting is what makes removal *exactly invertible*: erasing an
-/// edge restores the row to its previous contents (order preserved),
-/// so the re-folded degree — and therefore the volume — returns to
-/// its previous bits. An incremental `degrees[u] -= w` could not:
-/// `(a + w) - w != a` in floating point.
+/// neighbor weights. Volume is the ascending-node-order sum of degrees,
+/// computed on demand (cold paths only — the kernels read degrees, not
+/// volume). Canonical accounting is what makes removal *exactly
+/// invertible*: erasing an edge restores the row to its previous
+/// contents (order preserved), so the re-folded degree — and therefore
+/// the volume — returns to its previous bits. An incremental
+/// `degrees[u] -= w` could not: `(a + w) - w != a` in floating point.
+/// `ToGraph` re-folds each row in ascending-head order, so the frozen
+/// CSR degrees and volume are bitwise what `GraphBuilder::Build` gives.
 
 namespace impreg {
 
@@ -49,9 +64,12 @@ namespace impreg {
 ///
 /// Thread-safety: one writer. A SnapshotView (or plain copy) created
 /// by the writer thread may be read concurrently from other threads
-/// while the writer mutates — the writer clones the shared
-/// representation before its first post-snapshot mutation, so readers
-/// only ever see the frozen state they pinned.
+/// while the writer mutates — the writer clones the shared table and
+/// pages before writing them, so readers only ever see the frozen
+/// state they pinned. Pins must also be *released* on the writer
+/// thread: the writer decides whether to clone from `use_count()`,
+/// a relaxed load, which does not order a reader's last access on
+/// another thread before the writer's in-place write.
 class DynamicGraph {
  public:
   /// A neighbor entry.
@@ -59,6 +77,9 @@ class DynamicGraph {
     NodeId head;
     double weight;
   };
+
+  /// Nodes per copy-on-write page (see the file comment).
+  static constexpr NodeId kPageRows = 256;
 
   /// An immutable, O(1)-pinned view of the graph at a moment in time,
   /// tagged with the epoch the owner assigned to that moment. The view
@@ -70,10 +91,15 @@ class DynamicGraph {
   /// An edgeless graph on `num_nodes` nodes.
   explicit DynamicGraph(NodeId num_nodes);
 
-  /// Copies the edges of an immutable graph (u-major, head ≥ u arc
-  /// order — the canonical load order the durability layer replays).
-  /// Rows therefore end up in ascending-head order and the row-sum
-  /// degrees are bitwise the CSR degrees.
+  /// Copies the rows of an immutable graph in one pass. Row u ends up
+  /// as the u-major `AddEdge(u, head)` loop over head ≥ u arcs (the
+  /// canonical load order the durability layer replays) leaves it:
+  /// heads < u in ascending order (weights from the lower row, as
+  /// AddEdge mirrors them), then heads ≥ u in CSR order. For builder
+  /// output (sorted rows, mirrored weights equal) that is the CSR row
+  /// itself, so the row-sum degrees are bitwise the CSR degrees;
+  /// relabeled graphs (`ApplyNodePermutation`) keep their unsorted
+  /// tails.
   static DynamicGraph FromGraph(const Graph& g);
 
   /// Reassembles a graph from its exact serialized parts — adjacency in
@@ -103,25 +129,20 @@ class DynamicGraph {
     std::int64_t num_edges = 0;
     double total_volume = 0.0;
   };
-  Parts ExportParts() const {
-    return Parts{rep_->adjacency, rep_->degrees, rep_->num_edges,
-                 TotalVolume()};
-  }
+  Parts ExportParts() const;
 
   DynamicGraph(const DynamicGraph&) = default;
   DynamicGraph& operator=(const DynamicGraph&) = default;
   DynamicGraph(DynamicGraph&&) = default;
   DynamicGraph& operator=(DynamicGraph&&) = default;
 
-  NodeId NumNodes() const {
-    return static_cast<NodeId>(rep_->adjacency.size());
-  }
+  NodeId NumNodes() const { return rep_->num_nodes; }
 
   /// Number of distinct undirected edges.
   std::int64_t NumEdges() const { return rep_->num_edges; }
 
   /// Weighted degree (self-loops once).
-  double Degree(NodeId u) const { return rep_->degrees[u]; }
+  double Degree(NodeId u) const { return PageOf(u).degrees[Slot(u)]; }
 
   /// The ascending-node-order sum of degrees — GraphBuilder's exact
   /// accumulation order, recomputed on demand (O(n); volume is read on
@@ -131,7 +152,7 @@ class DynamicGraph {
 
   /// The neighbor list of u (insertion order; no duplicates).
   const std::vector<Neighbor>& Neighbors(NodeId u) const {
-    return rep_->adjacency[u];
+    return PageOf(u).rows[Slot(u)];
   }
 
   /// The stored weight of edge {u, v}, or 0.0 when absent (also for
@@ -142,9 +163,10 @@ class DynamicGraph {
   /// Inserts undirected edge {u, v} with finite weight w > 0
   /// (accumulating onto an existing edge). O(deg) per endpoint (linear
   /// duplicate scan — degrees in our workloads are small). If any
-  /// snapshot or copy still pins the current representation, it is
-  /// cloned first (the copy-on-write step, O(n + m) once per pinned
-  /// generation).
+  /// snapshot or copy still shares the current generation, the page
+  /// table is copied first (O(n / kPageRows), once per pinned
+  /// generation), and each of the ≤ 2 pages holding u and v is cloned
+  /// before its first write in that generation (O(kPageRows) rows).
   void AddEdge(NodeId u, NodeId v, double weight = 1.0);
 
   /// Removes weight from undirected edge {u, v}. `weight` = 0.0 (the
@@ -164,23 +186,39 @@ class DynamicGraph {
   /// Defined after SnapshotView below.
   SnapshotView Snapshot(std::int64_t epoch = 0) const;
 
-  /// True when this graph shares its representation with a snapshot or
-  /// copy (the next mutation will clone). Exposed for tests.
-  bool SharesRep() const { return rep_.use_count() > 1; }
-
-  /// Freezes into an immutable CSR Graph.
+  /// Freezes into an immutable CSR Graph, filling the arrays directly:
+  /// bitwise what `GraphBuilder::Build` makes from this graph's edges
+  /// (rows sorted by head, degrees folded over the sorted row, volume
+  /// summed in ascending node order).
   Graph ToGraph() const;
 
  private:
-  /// The shared-until-mutated representation.
+  /// kPageRows consecutive rows and their degrees; unused slots of the
+  /// last page stay empty.
+  struct Page {
+    std::array<std::vector<Neighbor>, kPageRows> rows;
+    std::array<double, kPageRows> degrees{};
+  };
+
+  /// One generation: the page table, shared until the next mutation.
   struct Rep {
-    std::vector<std::vector<Neighbor>> adjacency;
-    std::vector<double> degrees;
+    std::vector<std::shared_ptr<Page>> pages;
+    NodeId num_nodes = 0;
     std::int64_t num_edges = 0;
   };
 
-  /// Clones the rep if any other graph/view still shares it.
-  void EnsureUnique();
+  static std::size_t PageIndex(NodeId u) {
+    return static_cast<std::uint32_t>(u) / kPageRows;
+  }
+  static std::size_t Slot(NodeId u) {
+    return static_cast<std::uint32_t>(u) % kPageRows;
+  }
+  const Page& PageOf(NodeId u) const { return *rep_->pages[PageIndex(u)]; }
+
+  /// Copies the page table if another graph/view shares it, then
+  /// clones the pages holding u and v if another generation shares
+  /// them. Returns those pages, writable.
+  std::pair<Page*, Page*> WritablePages(NodeId u, NodeId v);
 
   std::shared_ptr<Rep> rep_;
 };

@@ -1107,39 +1107,64 @@ TEST(DurabilityTest, PinnedBatchIsIsolatedFromConcurrentIngest) {
 }
 
 TEST(DurabilityTest, SnapshotViewIsStableUnderConcurrentWrites) {
-  DynamicGraph g = DynamicGraph::FromGraph(BaseGraph());
-  const DynamicGraph::SnapshotView view = g.Snapshot(0);
-  const std::int64_t edges_before = view.graph().NumEdges();
-  const std::uint64_t volume_before = Bits(view.graph().TotalVolume());
+  // 1,200 nodes span five copy-on-write pages. Generation A is pinned,
+  // edits then land on page 0 only, and generation B is pinned: the two
+  // pins share every page but the first, and the writer's later edits
+  // land on pages both of them hold.
+  DynamicGraph g = DynamicGraph::FromGraph(GridGraph(30, 40));
+  const NodeId n = g.NumNodes();
+  ASSERT_GT(n, 4 * DynamicGraph::kPageRows);
+  const DynamicGraph::SnapshotView view_a = g.Snapshot(0);
+  const DynamicGraph::Parts parts_a = view_a.graph().ExportParts();
+  for (NodeId u = 0; u < 40; ++u) g.AddEdge(u, u + 100, 0.5);
+  const DynamicGraph::SnapshotView view_b = g.Snapshot(1);
+  const DynamicGraph::Parts parts_b = view_b.graph().ExportParts();
 
-  // Readers traverse the pinned view while the writer thread mutates
-  // the live graph: the copy-on-write clone must keep the frozen rep
-  // untouched (run under the tsan preset to certify no data race).
+  const auto checksum = [](const DynamicGraph& graph) {
+    double sum = 0.0;
+    for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+      sum += graph.Degree(u);
+      for (const auto& arc : graph.Neighbors(u)) {
+        sum += arc.weight * 1e-9 * arc.head;
+      }
+    }
+    return Bits(sum);
+  };
+  const std::uint64_t sum_a = checksum(view_a.graph());
+  const std::uint64_t sum_b = checksum(view_b.graph());
+
+  // Readers traverse both pinned generations while the writer thread
+  // mutates the live graph: the table and page clones must keep every
+  // pinned page untouched (run under the tsan preset to certify no
+  // data race).
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&view] {
+    const DynamicGraph& pinned = t % 2 == 0 ? view_a.graph() : view_b.graph();
+    const std::uint64_t want = t % 2 == 0 ? sum_a : sum_b;
+    readers.emplace_back([&pinned, &checksum, want] {
       for (int pass = 0; pass < 50; ++pass) {
-        double sum = 0.0;
-        for (NodeId u = 0; u < view.graph().NumNodes(); ++u) {
-          sum += view.graph().Degree(u);
-          for (const auto& arc : view.graph().Neighbors(u)) {
-            sum += arc.weight * 1e-9 * arc.head;
-          }
-        }
-        ASSERT_TRUE(std::isfinite(sum));
+        ASSERT_EQ(checksum(pinned), want);
       }
     });
   }
-  for (int i = 0; i < 100; ++i) {
-    g.AddEdge(i % 24, (i * 7 + 5) % 24 == i % 24 ? (i * 7 + 6) % 24
-                                                 : (i * 7 + 5) % 24,
-              1.0 + 0.25 * (i % 3));
+  for (int i = 0; i < 400; ++i) {
+    const NodeId u = static_cast<NodeId>((i * 97) % n);
+    const NodeId v = static_cast<NodeId>((i * 389 + 601) % n);
+    g.AddEdge(u, v, 1.0 + 0.25 * (i % 3));
+    if (i % 5 == 4) g.RemoveEdge(u, v, 0.125);
   }
   for (std::thread& t : readers) t.join();
 
-  EXPECT_EQ(view.graph().NumEdges(), edges_before);
-  EXPECT_EQ(Bits(view.graph().TotalVolume()), volume_before);
-  EXPECT_GT(g.NumEdges(), edges_before);
+  // Each pin still equals the deep copy taken when it was pinned.
+  ExpectGraphsBitIdentical(
+      view_a.graph(),
+      DynamicGraph::FromParts(parts_a.adjacency, parts_a.degrees,
+                              parts_a.num_edges, parts_a.total_volume));
+  ExpectGraphsBitIdentical(
+      view_b.graph(),
+      DynamicGraph::FromParts(parts_b.adjacency, parts_b.degrees,
+                              parts_b.num_edges, parts_b.total_volume));
+  EXPECT_GT(g.NumEdges(), parts_b.num_edges);
 }
 
 // ——— Shard-aware durability (ISSUE 9) ———

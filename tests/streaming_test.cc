@@ -2,6 +2,7 @@
 #include "streaming/incremental_ppr.h"
 #include "streaming/montecarlo.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.h"
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "diffusion/pagerank.h"
 #include "diffusion/seed.h"
 #include "graph/generators.h"
 #include "graph/random_graphs.h"
+#include "graph/reorder.h"
+#include "util/rng.h"
 
 namespace impreg {
 namespace {
@@ -225,6 +229,171 @@ TEST(DynamicGraphTest, FromPartsValidatesPairwiseSymmetry) {
                                        parts.total_volume),
                "declared edge count");
 }
+
+// ——— Conversions: direct CSR load/freeze vs the edge-by-edge paths ———
+
+/// The edge-by-edge load: AddEdge(u, head) over head ≥ u arcs, u-major.
+DynamicGraph ReferenceFromGraph(const Graph& g) {
+  DynamicGraph dynamic(g.NumNodes());
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] >= u) dynamic.AddEdge(u, heads[i], weights[i]);
+    }
+  }
+  return dynamic;
+}
+
+/// The builder freeze: every head ≥ u entry through GraphBuilder.
+Graph ReferenceToGraph(const DynamicGraph& dynamic) {
+  GraphBuilder builder(dynamic.NumNodes());
+  for (NodeId u = 0; u < dynamic.NumNodes(); ++u) {
+    for (const DynamicGraph::Neighbor& n : dynamic.Neighbors(u)) {
+      if (n.head >= u) builder.AddEdge(u, n.head, n.weight);
+    }
+  }
+  return builder.Build();
+}
+
+void ExpectCsrBitIdentical(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.NumNodes(), want.NumNodes());
+  const auto got_offsets = got.Offsets();
+  const auto want_offsets = want.Offsets();
+  ASSERT_TRUE(std::equal(got_offsets.begin(), got_offsets.end(),
+                         want_offsets.begin(), want_offsets.end()));
+  const auto got_heads = got.Heads();
+  const auto want_heads = want.Heads();
+  ASSERT_TRUE(std::equal(got_heads.begin(), got_heads.end(),
+                         want_heads.begin(), want_heads.end()));
+  for (ArcIndex a = 0; a < want.NumArcs(); ++a) {
+    EXPECT_EQ(Bits(got.Weights()[a]), Bits(want.Weights()[a])) << "arc " << a;
+  }
+  for (NodeId u = 0; u < want.NumNodes(); ++u) {
+    EXPECT_EQ(Bits(got.Degree(u)), Bits(want.Degree(u))) << "node " << u;
+  }
+  EXPECT_EQ(got.NumEdges(), want.NumEdges());
+  EXPECT_EQ(Bits(got.TotalVolume()), Bits(want.TotalVolume()));
+  EXPECT_EQ(got.RowsSorted(), want.RowsSorted());
+}
+
+/// Both conversions against their references: FromGraph(g) row order
+/// and bits, and ToGraph of the result.
+void ExpectConversionsMatchReferences(const Graph& g) {
+  const DynamicGraph dynamic = DynamicGraph::FromGraph(g);
+  ExpectPartsBitIdentical(dynamic.ExportParts(),
+                          ReferenceFromGraph(g).ExportParts());
+  ExpectCsrBitIdentical(dynamic.ToGraph(), ReferenceToGraph(dynamic));
+}
+
+/// n nodes, irrational-ish weights (so fold order shows in the bits),
+/// parallel edges (merged by the builder) and self-loops.
+Graph WeightedMultigraph(NodeId n, std::int64_t edges, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(n);
+  for (std::int64_t i = 0; n > 0 && i < edges; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+    const NodeId v = i % 17 == 0 ? u : static_cast<NodeId>(rng.NextBounded(n));
+    builder.AddEdge(u, v, rng.NextDouble(0.1, 3.0));
+  }
+  return builder.Build();
+}
+
+TEST(DynamicGraphTest, FromGraphAndToGraphMatchTheEdgeByEdgePaths) {
+  {
+    SCOPED_TRACE("builder output");
+    ExpectConversionsMatchReferences(WeightedMultigraph(700, 4000, 31));
+  }
+  {
+    SCOPED_TRACE("RCM-relabeled (unsorted rows)");
+    const Graph g = WeightedMultigraph(700, 4000, 32);
+    const Graph relabeled = ApplyNodePermutation(
+        g, ComputeReorderPermutation(g, ReorderMethod::kRcm));
+    ASSERT_FALSE(relabeled.RowsSorted());
+    ExpectConversionsMatchReferences(relabeled);
+  }
+  {
+    SCOPED_TRACE("after mixed edits");
+    DynamicGraph dynamic =
+        DynamicGraph::FromGraph(WeightedMultigraph(600, 3000, 33));
+    Rng rng(34);
+    for (int i = 0; i < 400; ++i) {
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(600));
+      const NodeId v =
+          i % 13 == 0 ? u : static_cast<NodeId>(rng.NextBounded(600));
+      const double stored = dynamic.EdgeWeight(u, v);
+      switch (i % 4) {
+        case 0:
+        case 1:  // Insert, or accumulate onto an existing edge.
+          dynamic.AddEdge(u, v, rng.NextDouble(0.1, 3.0));
+          break;
+        case 2:  // Partial removal.
+          if (stored > 0.0) dynamic.RemoveEdge(u, v, stored * 0.375);
+          break;
+        default:  // Full removal.
+          if (stored > 0.0) dynamic.RemoveEdge(u, v);
+          break;
+      }
+    }
+    ExpectCsrBitIdentical(dynamic.ToGraph(), ReferenceToGraph(dynamic));
+    ExpectConversionsMatchReferences(dynamic.ToGraph());
+  }
+  // Page boundaries: empty, one node, and one page ± one row.
+  for (const NodeId n : {0, 1, DynamicGraph::kPageRows - 1,
+                         DynamicGraph::kPageRows,
+                         DynamicGraph::kPageRows + 1}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    ExpectConversionsMatchReferences(WeightedMultigraph(n, 4 * n, 35 + n));
+  }
+}
+
+#ifdef IMPREG_OBSERVABILITY
+TEST(DynamicGraphTest, PinnedEditClonesTheTableOnceAndAtMostTwoPages) {
+  ImpregEnableMetrics(true);
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  registry.Reset();
+  Counter* tables =
+      registry.FindOrCreateCounter("streaming.graph.table_clones");
+  Counter* pages = registry.FindOrCreateCounter("streaming.graph.page_clones");
+  constexpr NodeId kRows = DynamicGraph::kPageRows;
+  DynamicGraph g = DynamicGraph::FromGraph(WeightedMultigraph(1200, 6000, 36));
+
+  // Unpinned edits write in place.
+  g.AddEdge(1, 4 * kRows + 1, 0.5);
+  EXPECT_EQ(tables->Value(), 0);
+  EXPECT_EQ(pages->Value(), 0);
+  {
+    const DynamicGraph::SnapshotView pin = g.Snapshot(1);
+    const DynamicGraph::Parts pinned = pin.graph().ExportParts();
+
+    // The first edit after the pin: one table copy, the two pages of
+    // its endpoints.
+    g.AddEdge(2, 3 * kRows + 2, 1.25);
+    EXPECT_EQ(tables->Value(), 1);
+    EXPECT_EQ(pages->Value(), 2);
+
+    // More edits to those pages in this generation cost nothing.
+    g.AddEdge(3, 3 * kRows + 7, 0.75);
+    g.RemoveEdge(2, 3 * kRows + 2, 0.25);
+    g.RemoveEdge(3, 3 * kRows + 7);
+    g.AddEdge(kRows - 1, kRows - 1, 2.0);
+    EXPECT_EQ(tables->Value(), 1);
+    EXPECT_EQ(pages->Value(), 2);
+
+    // An edit within one fresh page clones exactly that page.
+    g.AddEdge(kRows, kRows + 1, 1.0);
+    EXPECT_EQ(tables->Value(), 1);
+    EXPECT_EQ(pages->Value(), 3);
+
+    ExpectPartsBitIdentical(pin.graph().ExportParts(), pinned);
+  }
+  // The pin is gone: every page is unshared again.
+  g.AddEdge(4, 2 * kRows + 4, 1.0);
+  EXPECT_EQ(tables->Value(), 1);
+  EXPECT_EQ(pages->Value(), 3);
+  ImpregEnableMetrics(false);
+}
+#endif  // IMPREG_OBSERVABILITY
 
 class IncrementalPprTest : public testing::Test {
  protected:
