@@ -244,8 +244,10 @@ void BM_Dinic(benchmark::State& state) {
   for (auto _ : state) {
     FlowNetwork net(n);
     for (NodeId u = 0; u < n; ++u) {
-      for (const Arc& arc : g.Neighbors(u)) {
-        if (arc.head > u) net.AddEdge(u, arc.head, arc.weight, arc.weight);
+      const auto heads = g.Heads(u);
+      const auto weights = g.Weights(u);
+      for (std::size_t i = 0; i < heads.size(); ++i) {
+        if (heads[i] > u) net.AddEdge(u, heads[i], weights[i], weights[i]);
       }
     }
     benchmark::DoNotOptimize(net.MaxFlow(0, n - 1));

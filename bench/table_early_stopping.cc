@@ -36,8 +36,10 @@ Workload MakeWorkload(Rng& rng) {
   const NodeId whisker_len = 40;
   GraphBuilder builder(planted.NumNodes() + whisker_len);
   for (NodeId u = 0; u < planted.NumNodes(); ++u) {
-    for (const Arc& arc : planted.Neighbors(u)) {
-      if (arc.head > u) builder.AddEdge(u, arc.head, arc.weight);
+    const auto heads = planted.Heads(u);
+    const auto weights = planted.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] > u) builder.AddEdge(u, heads[i], weights[i]);
     }
   }
   builder.AddEdge(0, planted.NumNodes());

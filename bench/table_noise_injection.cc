@@ -31,8 +31,10 @@ Workload MakeWorkload(Rng& rng) {
   const NodeId whisker_len = 40;
   GraphBuilder builder(planted.NumNodes() + whisker_len);
   for (NodeId u = 0; u < planted.NumNodes(); ++u) {
-    for (const Arc& arc : planted.Neighbors(u)) {
-      if (arc.head > u) builder.AddEdge(u, arc.head, arc.weight);
+    const auto heads = planted.Heads(u);
+    const auto weights = planted.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] > u) builder.AddEdge(u, heads[i], weights[i]);
     }
   }
   builder.AddEdge(0, planted.NumNodes());
@@ -45,14 +47,18 @@ Workload MakeWorkload(Rng& rng) {
 Graph AddNoiseEdges(const Graph& g, double rate, Rng& rng) {
   GraphBuilder builder(g.NumNodes());
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (arc.head >= u) builder.AddEdge(u, arc.head, arc.weight);
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] >= u) builder.AddEdge(u, heads[i], weights[i]);
     }
   }
   const Graph noise = ErdosRenyi(g.NumNodes(), rate, rng);
   for (NodeId u = 0; u < noise.NumNodes(); ++u) {
-    for (const Arc& arc : noise.Neighbors(u)) {
-      if (arc.head > u) builder.AddEdge(u, arc.head, arc.weight);
+    const auto heads = noise.Heads(u);
+    const auto weights = noise.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] > u) builder.AddEdge(u, heads[i], weights[i]);
     }
   }
   return builder.Build();

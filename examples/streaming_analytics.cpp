@@ -29,8 +29,8 @@ int main() {
   // Random arrival order.
   std::vector<std::pair<NodeId, NodeId>> stream;
   for (NodeId u = 0; u < final_graph.NumNodes(); ++u) {
-    for (const Arc& arc : final_graph.Neighbors(u)) {
-      if (arc.head >= u) stream.push_back({u, arc.head});
+    for (NodeId v : final_graph.Heads(u)) {
+      if (v >= u) stream.push_back({u, v});
     }
   }
   rng.Shuffle(stream);

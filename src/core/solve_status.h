@@ -97,9 +97,8 @@ inline SolveStatus MergeStatus(SolveStatus a, SolveStatus b) {
   return StatusSeverity(a) >= StatusSeverity(b) ? a : b;
 }
 
-/// Per-solve diagnostics carried by every solver result type. The
-/// legacy `converged` bools on the result structs are kept in sync with
-/// `status` so existing call sites compile and behave unchanged.
+/// Per-solve diagnostics carried by every solver result type; `status`
+/// is the single record of how a solve ended.
 struct SolverDiagnostics {
   SolveStatus status = SolveStatus::kMaxIterations;
   /// Iterations (or pushes / Taylor terms / phases) actually performed.

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <vector>
 
@@ -20,10 +19,9 @@
 /// array-of-structs `{int32 head; double weight}` (16 bytes/arc after
 /// padding) this is 12 bytes/arc — 25% less memory traffic on the SpMV
 /// inner loop — and each array is a unit-stride stream the compiler can
-/// vectorize. Hot kernels should iterate `Heads(u)` / `Weights(u)` (or
-/// the whole-graph `Heads()` / `Weights()` / `Offsets()` arrays);
-/// `Neighbors(u)` remains as a compatibility view for traversal-bound
-/// code where throughput does not matter. See docs/memory_layout.md.
+/// vectorize. Every reader iterates `Heads(u)` / `Weights(u)` (or the
+/// whole-graph `Heads()` / `Weights()` / `Offsets()` arrays); there is
+/// no array-of-structs view. See docs/memory_layout.md.
 
 namespace impreg {
 
@@ -32,9 +30,8 @@ namespace impreg {
 using NodeId = std::int32_t;
 using ArcIndex = std::int64_t;
 
-/// A directed half-edge of the CSR adjacency of its tail. The storage is
-/// structure-of-arrays; this struct is the *value type* of the
-/// `Graph::Neighbors()` compatibility view (and of GraphBuilder input).
+/// A directed half-edge (head, weight): the row type GraphBuilder sorts
+/// and merges before writing the structure-of-arrays storage.
 struct Arc {
   NodeId head = 0;
   double weight = 1.0;
@@ -64,96 +61,6 @@ class GraphBuilder;
 /// weighted degrees, and `TotalVolume()` = Σ_u d(u).
 class Graph {
  public:
-  /// Read-only adjacency-list view materializing `Arc` values from the
-  /// structure-of-arrays storage. Supports range-for, indexing and the
-  /// usual container accessors; iterators are random-access and yield
-  /// `Arc` *by value* (binding `const Arc&` in a range-for is fine — the
-  /// temporary's lifetime covers the loop body).
-  class NeighborView {
-   public:
-    class Iterator {
-     public:
-      using iterator_category = std::random_access_iterator_tag;
-      using value_type = Arc;
-      using difference_type = std::ptrdiff_t;
-      using pointer = void;
-      using reference = Arc;
-
-      Iterator() = default;
-      Iterator(const NodeId* head, const double* weight)
-          : head_(head), weight_(weight) {}
-
-      Arc operator*() const { return {*head_, *weight_}; }
-      Arc operator[](difference_type i) const {
-        return {head_[i], weight_[i]};
-      }
-      Iterator& operator++() {
-        ++head_;
-        ++weight_;
-        return *this;
-      }
-      Iterator operator++(int) {
-        Iterator copy = *this;
-        ++*this;
-        return copy;
-      }
-      Iterator& operator--() {
-        --head_;
-        --weight_;
-        return *this;
-      }
-      Iterator operator--(int) {
-        Iterator copy = *this;
-        --*this;
-        return copy;
-      }
-      Iterator& operator+=(difference_type i) {
-        head_ += i;
-        weight_ += i;
-        return *this;
-      }
-      Iterator& operator-=(difference_type i) { return *this += -i; }
-      friend Iterator operator+(Iterator it, difference_type i) {
-        return it += i;
-      }
-      friend Iterator operator+(difference_type i, Iterator it) {
-        return it += i;
-      }
-      friend Iterator operator-(Iterator it, difference_type i) {
-        return it -= i;
-      }
-      friend difference_type operator-(const Iterator& a, const Iterator& b) {
-        return a.head_ - b.head_;
-      }
-      friend bool operator==(const Iterator& a, const Iterator& b) {
-        return a.head_ == b.head_;
-      }
-      friend auto operator<=>(const Iterator& a, const Iterator& b) {
-        return a.head_ <=> b.head_;
-      }
-
-     private:
-      const NodeId* head_ = nullptr;
-      const double* weight_ = nullptr;
-    };
-
-    NeighborView(const NodeId* heads, const double* weights, std::size_t size)
-        : heads_(heads), weights_(weights), size_(size) {}
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    Arc operator[](std::size_t i) const { return {heads_[i], weights_[i]}; }
-    Arc front() const { return (*this)[0]; }
-    Arc back() const { return (*this)[size_ - 1]; }
-    Iterator begin() const { return {heads_, weights_}; }
-    Iterator end() const { return {heads_ + size_, weights_ + size_}; }
-
-   private:
-    const NodeId* heads_;
-    const double* weights_;
-    std::size_t size_;
-  };
-
   /// An empty graph with zero nodes.
   Graph() = default;
 
@@ -171,8 +78,8 @@ class Graph {
   /// Number of stored arcs (2m minus the number of self-loops).
   ArcIndex NumArcs() const { return static_cast<ArcIndex>(heads_.size()); }
 
-  /// Neighbor ids of `u`, sorted ascending. Unit-stride int32 stream —
-  /// use this (with `Weights(u)`) in throughput-bound kernels.
+  /// Neighbor ids of `u`, sorted ascending (see RowsSorted()). Unit-stride
+  /// int32 stream, aligned with `Weights(u)`.
   std::span<const NodeId> Heads(NodeId u) const {
     return {heads_.data() + offsets_[u],
             static_cast<std::size_t>(offsets_[u + 1] - offsets_[u])};
@@ -189,14 +96,6 @@ class Graph {
   std::span<const NodeId> Heads() const { return heads_; }
   std::span<const double> Weights() const { return weights_; }
   std::span<const ArcIndex> Offsets() const { return offsets_; }
-
-  /// The sorted adjacency list of `u` as (head, weight) pairs — a
-  /// compatibility view over the SoA arrays; prefer `Heads`/`Weights`
-  /// where throughput matters.
-  NeighborView Neighbors(NodeId u) const {
-    return {heads_.data() + offsets_[u], weights_.data() + offsets_[u],
-            static_cast<std::size_t>(offsets_[u + 1] - offsets_[u])};
-  }
 
   /// Weighted degree d(u): sum of incident edge weights (self-loop once).
   double Degree(NodeId u) const { return degrees_[u]; }

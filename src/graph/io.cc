@@ -126,13 +126,15 @@ std::string WriteEdgeListString(const Graph& g) {
   std::string out = "# nodes " + std::to_string(g.NumNodes()) + "\n";
   char buf[96];
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (arc.head < u) continue;  // Each undirected edge once.
-      if (arc.weight == 1.0) {
-        std::snprintf(buf, sizeof(buf), "%d %d\n", u, arc.head);
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] < u) continue;  // Each undirected edge once.
+      if (weights[i] == 1.0) {
+        std::snprintf(buf, sizeof(buf), "%d %d\n", u, heads[i]);
       } else {
-        std::snprintf(buf, sizeof(buf), "%d %d %.17g\n", u, arc.head,
-                      arc.weight);
+        std::snprintf(buf, sizeof(buf), "%d %d %.17g\n", u, heads[i],
+                      weights[i]);
       }
       out += buf;
     }
@@ -261,10 +263,11 @@ std::optional<Graph> ReadMetis(const std::string& path) {
 std::string WriteMetisString(const Graph& g) {
   bool weighted = false;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      IMPREG_CHECK_MSG(arc.head != u,
-                       "METIS format cannot express self-loops");
-      if (arc.weight != 1.0) weighted = true;
+    for (NodeId head : g.Heads(u)) {
+      IMPREG_CHECK_MSG(head != u, "METIS format cannot express self-loops");
+    }
+    for (double weight : g.Weights(u)) {
+      if (weight != 1.0) weighted = true;
     }
   }
   std::string out = std::to_string(g.NumNodes()) + " " +
@@ -272,13 +275,13 @@ std::string WriteMetisString(const Graph& g) {
                     (weighted ? " 001" : "") + "\n";
   char buf[64];
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    bool first = true;
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (!first) out += ' ';
-      first = false;
-      out += std::to_string(arc.head + 1);
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (i > 0) out += ' ';
+      out += std::to_string(heads[i] + 1);
       if (weighted) {
-        std::snprintf(buf, sizeof(buf), " %.17g", arc.weight);
+        std::snprintf(buf, sizeof(buf), " %.17g", weights[i]);
         out += buf;
       }
     }

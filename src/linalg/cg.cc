@@ -41,7 +41,6 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
   if (options.project_out != nullptr) ProjectOut(*options.project_out, r);
   const double b_norm = Norm2(r);
   if (b_norm == 0.0) {
-    result.converged = true;
     diag.status = SolveStatus::kConverged;
     diag.detail = "zero right-hand side";
     IMPREG_TRACE_FINISH(trace, diag);
@@ -56,6 +55,7 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
   // gets if the iteration produces a NaN/Inf.
   Vector snapshot = result.x;
   double snapshot_rr = rr;
+  bool converged = false;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     a.Apply(p, ap);
     IMPREG_FAULT_POINT("cg/ap", ap);
@@ -100,7 +100,7 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
     diag.RecordResidual(std::sqrt(rr_new));
     IMPREG_TRACE_EVENT(trace, iter, kResidual, std::sqrt(rr_new));
     if (std::sqrt(rr_new) <= threshold) {
-      result.converged = true;
+      converged = true;
       rr = rr_new;
       break;
     }
@@ -132,9 +132,9 @@ CgResult ConjugateGradient(const LinearOperator& a, const Vector& b,
                        std::sqrt(snapshot_rr));
     result.x = snapshot;
     rr = snapshot_rr;
-    result.converged = false;
+    converged = false;
   }
-  if (result.converged) {
+  if (converged) {
     diag.status = SolveStatus::kConverged;
   } else if (diag.status == SolveStatus::kMaxIterations &&
              diag.detail.empty()) {

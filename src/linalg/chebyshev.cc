@@ -48,7 +48,6 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
 
   const double b_norm = Norm2(b);
   if (b_norm == 0.0) {
-    result.converged = true;
     diag.status = SolveStatus::kConverged;
     diag.detail = "zero right-hand side";
     IMPREG_TRACE_FINISH(trace, diag);
@@ -81,9 +80,9 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
       IMPREG_TRACE_FINISH(trace, diag);
       return result;
     }
-    result.converged = result.residual_norm <= threshold;
-    diag.status = result.converged ? SolveStatus::kConverged
-                                   : SolveStatus::kMaxIterations;
+    diag.status = result.residual_norm <= threshold
+                      ? SolveStatus::kConverged
+                      : SolveStatus::kMaxIterations;
     IMPREG_TRACE_EVENT(trace, 1, kResidual, result.residual_norm);
     IMPREG_TRACE_FINISH(trace, diag);
     return result;
@@ -99,6 +98,7 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
   Vector snapshot = result.x;
   double snapshot_residual = b_norm;
   double best_residual = b_norm;
+  bool converged = false;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     Axpy(1.0, d, result.x);
     IMPREG_FAULT_POINT("chebyshev/x", result.x);
@@ -120,7 +120,7 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
       break;
     }
     if (result.residual_norm <= threshold) {
-      result.converged = true;
+      converged = true;
       break;
     }
     if (result.residual_norm < best_residual) {
@@ -174,9 +174,9 @@ ChebyshevResult ChebyshevSolve(const LinearOperator& a, const Vector& b,
                        snapshot_residual);
     result.x = snapshot;
     result.residual_norm = snapshot_residual;
-    result.converged = false;
+    converged = false;
   }
-  if (result.converged) {
+  if (converged) {
     diag.status = SolveStatus::kConverged;
   } else if (diag.status == SolveStatus::kMaxIterations &&
              diag.detail.empty()) {

@@ -34,8 +34,6 @@ struct ChebyshevResult {
   Vector x;
   int iterations = 0;
   double residual_norm = 0.0;
-  /// Kept in sync with diagnostics.status == kConverged.
-  bool converged = false;
   SolverDiagnostics diagnostics;
 };
 

@@ -81,6 +81,7 @@ LanczosResult RunLanczos(const LinearOperator& op, int k, bool smallest,
   Vector w(n);
 
   SymmetricEigen tri_eigen;
+  bool converged = false;  // All k Ritz pairs met the tolerance.
   for (int m = 0; m < max_dim; ++m) {
     basis.push_back(q);
     op.Apply(basis[m], w);
@@ -131,7 +132,7 @@ LanczosResult RunLanczos(const LinearOperator& op, int k, bool smallest,
         }
       }
       if (all_ok || last) {
-        result.converged = all_ok;
+        converged = all_ok;
         break;
       }
     }
@@ -153,7 +154,7 @@ LanczosResult RunLanczos(const LinearOperator& op, int k, bool smallest,
         diag.status = SolveStatus::kBreakdown;
         diag.detail = "invariant subspace exhausted before k pairs";
         IMPREG_TRACE_EVENT(trace, m + 1, kFault, b);
-        result.converged = false;
+        converged = false;
         break;
       }
     }
@@ -200,10 +201,10 @@ LanczosResult RunLanczos(const LinearOperator& op, int k, bool smallest,
       diag.status = SolveStatus::kNonFinite;
       diag.detail = "non-finite Ritz residual (operator produced poison "
                     "on the verification matvec)";
-      result.converged = false;
+      converged = false;
     }
   }
-  if (result.converged) diag.status = SolveStatus::kConverged;
+  if (converged) diag.status = SolveStatus::kConverged;
   diag.iterations = result.iterations;
   IMPREG_TRACE_FINISH(trace, diag);
   IMPREG_METRIC_COUNT("solver.lanczos.solves", 1);
@@ -220,7 +221,6 @@ LanczosResult RunLanczos(const LinearOperator& op, int k, bool smallest,
 LanczosResult RunDeflated(const LinearOperator& op, int k, bool smallest,
                           const LanczosOptions& options) {
   LanczosResult total;
-  total.converged = true;
   LanczosOptions current = options;
   SolveStatus merged = SolveStatus::kConverged;
   for (int i = 0; i < k; ++i) {
@@ -234,12 +234,13 @@ LanczosResult RunDeflated(const LinearOperator& op, int k, bool smallest,
     total.eigenvectors.push_back(one.eigenvectors.front());
     total.residuals.push_back(one.residuals.front());
     total.iterations += one.iterations;
-    total.converged = total.converged && one.converged;
     current.deflate.push_back(one.eigenvectors.front());
     current.seed += 0x9e3779b9ULL;  // Fresh start vector per pair.
   }
-  total.converged =
-      total.converged && static_cast<int>(total.eigenvalues.size()) == k;
+  // Converged iff every pair's run converged (`merged` stays
+  // kConverged) and all k pairs were found.
+  const bool converged = merged == SolveStatus::kConverged &&
+                         static_cast<int>(total.eigenvalues.size()) == k;
   // Near-degenerate pairs can come back marginally out of order.
   std::vector<int> order(total.eigenvalues.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
@@ -249,11 +250,10 @@ LanczosResult RunDeflated(const LinearOperator& op, int k, bool smallest,
   });
   LanczosResult sorted;
   sorted.iterations = total.iterations;
-  sorted.converged = total.converged;
   sorted.diagnostics = std::move(total.diagnostics);
   sorted.diagnostics.status =
-      sorted.converged ? SolveStatus::kConverged
-                       : MergeStatus(merged, SolveStatus::kMaxIterations);
+      converged ? SolveStatus::kConverged
+                : MergeStatus(merged, SolveStatus::kMaxIterations);
   sorted.diagnostics.iterations = sorted.iterations;
   for (int idx : order) {
     sorted.eigenvalues.push_back(total.eigenvalues[idx]);

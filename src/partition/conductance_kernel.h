@@ -9,9 +9,10 @@
 
 /// \file
 /// Cut-statistics kernels as templates over the adjacency provider, so
-/// the sweep kernel (partition/sweep_kernel.h) and the sharded serving
-/// views (src/service/sharding/) reuse the exact accumulation order of
-/// the `Graph` implementations in conductance.cc. Requirements on `G`:
+/// the sweep kernel (partition/sweep_kernel.h) keeps the exact
+/// accumulation order of the `Graph` implementations in conductance.cc
+/// over any provider; `Graph` is the one provider today. Requirements
+/// on `G`:
 /// `NumNodes()`, `Degree(u)`, `Heads(u)`/`Weights(u)` spans, and
 /// `IsValidNode(u)`.
 

@@ -6,9 +6,8 @@
 namespace impreg {
 
 // The kernel body lives in partition/hkrelax_kernel.h as a template
-// over the adjacency provider (the sharded serving tier reuses it
-// against shard-set frozen views); this `Graph` instantiation is the
-// historical entry point, bit-identical to the pre-template code.
+// over the adjacency provider; this `Graph` instantiation is its one
+// provider, bit-identical to the pre-template code.
 HkRelaxResult HeatKernelRelaxFromDistribution(const Graph& g,
                                               const Vector& seed,
                                               const HkRelaxOptions& options) {

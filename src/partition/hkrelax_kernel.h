@@ -14,9 +14,10 @@
 
 /// \file
 /// The heat-kernel relax kernel as a template over the adjacency
-/// provider. hkrelax.cc instantiates it over `Graph`; the sharded
-/// serving tier instantiates it over a shard-set frozen view. The
-/// iteration order of the sparse term map is a function of the
+/// provider. hkrelax.cc instantiates it over `Graph`, its one provider
+/// today; the pinned `DynamicGraph` view is the planned second one
+/// (ROADMAP.md), which would let the serving tier skip the per-epoch
+/// CSR freeze. The iteration order of the sparse term map is a function of the
 /// insertion sequence alone, so any provider serving the same bits
 /// produces a bit-identical ρ, cut, and diagnostics.
 ///

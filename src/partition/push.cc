@@ -152,7 +152,7 @@ PushResult ApproximatePageRank(const Graph& g, const Vector& seed,
                          residual_mass);
     }
   }
-  result.converged = queue.empty() && !budget_stop && !poisoned;
+  const bool drained = queue.empty() && !budget_stop;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     if (result.p[u] > 0.0) ++result.support;
   }
@@ -161,7 +161,7 @@ PushResult ApproximatePageRank(const Graph& g, const Vector& seed,
     diag.status = SolveStatus::kNonFinite;
     diag.detail = "residual went non-finite; poisoned mass dropped and "
                   "the push stopped (p stays a valid partial PPR)";
-  } else if (result.converged) {
+  } else if (drained) {
     diag.status = SolveStatus::kConverged;
   } else {
     // Both the push cap and a cooperative budget are deliberate early

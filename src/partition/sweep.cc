@@ -5,9 +5,8 @@
 namespace impreg {
 
 // The kernel bodies live in partition/sweep_kernel.h as templates over
-// the adjacency provider (the sharded serving tier reuses them against
-// shard-set views); these instantiations over `Graph` are the
-// historical entry points, bit-identical to the pre-template code.
+// the adjacency provider; these instantiations over `Graph` are their
+// one provider, bit-identical to the pre-template code.
 
 SweepResult SweepCut(const Graph& g, const Vector& values,
                      const SweepOptions& options) {

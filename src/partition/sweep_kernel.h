@@ -14,15 +14,15 @@
 /// \file
 /// The sweep-cut kernel as a template over the adjacency provider.
 /// sweep.cc instantiates it over `Graph` (bit-identical to the
-/// historical implementation); the sharded serving tier instantiates
-/// it over a shard-set frozen view so the rounding step of hk-relax
-/// and Nibble runs shard-local with the same accumulation order.
+/// historical implementation), its one provider today. The template
+/// lets the rounding step of hk-relax and Nibble keep the same
+/// accumulation order over the planned pinned `DynamicGraph` view
+/// (ROADMAP.md).
 ///
 /// Requirements on `G`: `NumNodes()`, `Degree(u)`, `Heads(u)` /
 /// `Weights(u)` spans, `TotalVolume()`, `IsValidNode(u)`. The
 /// cut-delta pass runs under ParallelFor, so `G`'s accessors must be
-/// safe for concurrent reads (the sharded views use relaxed atomics
-/// for their work counters for exactly this reason).
+/// safe for concurrent reads.
 
 namespace impreg {
 

@@ -13,12 +13,8 @@
 #include "core/work_budget.h"
 #include "linalg/graph_operators.h"
 #include "partition/hkrelax.h"
-#include "partition/hkrelax_kernel.h"
 #include "partition/nibble.h"
-#include "partition/nibble_kernel.h"
-#include "service/sharding/shard_plan.h"
 #include "streaming/incremental_ppr.h"
-#include "streaming/push_kernel.h"
 #include "util/check.h"
 
 namespace impreg {
@@ -148,7 +144,6 @@ QueryEngine::QueryEngine(const Graph& initial, const Options& options)
   for (const auto& entry : options_.admission.tenant_capacity) {
     pool_.SetCapacity(entry.first, entry.second);
   }
-  BuildShards();
 }
 
 QueryEngine::QueryEngine(const DynamicGraph& initial)
@@ -161,31 +156,6 @@ QueryEngine::QueryEngine(const DynamicGraph& initial, const Options& options)
       pool_(options.admission.policy) {
   for (const auto& entry : options_.admission.tenant_capacity) {
     pool_.SetCapacity(entry.first, entry.second);
-  }
-  BuildShards();
-}
-
-void QueryEngine::BuildShards() {
-  shards_.reset();
-  if (options_.sharding.shards <= 1) return;
-  ShardPlan plan;
-  const NodeId n = graph_.NumNodes();
-  if (ValidShardOwners(options_.sharding.owner, n,
-                       options_.sharding.shards)) {
-    // A pre-validated placement (recovered manifest) is honored as-is
-    // so restarts serve under the exact pre-crash plan.
-    plan.shards = options_.sharding.shards;
-    plan.partition_seed = options_.sharding.partition_seed;
-    plan.owner = options_.sharding.owner;
-  } else {
-    plan = BuildShardPlan(graph_.ToGraph(), options_.sharding.shards,
-                          options_.sharding.partition_seed);
-  }
-  shards_ = ShardSet::Build(graph_, std::move(plan));
-  if (shards_ == nullptr) {
-    // Unsharded serving answers the same bits — the fallback degrades
-    // locality, never correctness.
-    IMPREG_METRIC_COUNT("service.shard.fallback_unsharded", 1);
   }
 }
 
@@ -207,14 +177,12 @@ void QueryEngine::FinishEdit(NodeId u, NodeId v) {
 
 void QueryEngine::AddEdge(NodeId u, NodeId v, double weight) {
   graph_.AddEdge(u, v, weight);
-  if (shards_ != nullptr) shards_->AddEdge(u, v, weight, graph_);
   FinishEdit(u, v);
   IMPREG_METRIC_COUNT("service.engine.add_edges", 1);
 }
 
 void QueryEngine::RemoveEdge(NodeId u, NodeId v, double weight) {
   graph_.RemoveEdge(u, v, weight);
-  if (shards_ != nullptr) shards_->RemoveEdge(u, v, weight, graph_);
   FinishEdit(u, v);
   IMPREG_METRIC_COUNT("service.engine.remove_edges", 1);
 }
@@ -264,10 +232,9 @@ std::string QueryEngine::CanonicalKey(const Query& query) {
   }
   key += "|work=" + std::to_string(query.max_work);
   key += "|seeds=" + SeedFingerprint(seeds);
-  // Deliberately absent: graph epoch (per-entry validity state — the
-  // insert stamp, region fingerprint, and warm-only flag say whether
-  // an entry may serve) and shard routing state (shard-count
-  // invariance: placement never changes answer bits).
+  // Deliberately absent: the graph epoch (per-entry validity state —
+  // the insert stamp, region fingerprint, and warm-only flag say
+  // whether an entry may serve).
   return key;
 }
 
@@ -336,20 +303,8 @@ void QueryEngine::ExecutePush(WorkItem& item,
   }
 
   SolverDiagnostics diag;
-  std::int64_t pushes;
-  // Shard-local execution (live snapshot only — a stale pinned view
-  // predates the current shard state, and the unsharded path answers
-  // the same bits anyway). The queue scan above and any warm
-  // InvariantResidual are batch setup; the diffusion itself drains the
-  // frontier through the owner slices, escalating deterministically
-  // when the canonical frontier order crosses shards.
-  if (shards_ != nullptr && snap.epoch() == epoch_) {
-    ShardSet::DynamicView view(*shards_,
-                               shards_->router().HomeShard(q.seeds));
-    pushes = StandardFormPushOver(view, opts, p, r, queue, queued, diag);
-  } else {
-    pushes = StandardFormPush(graph, opts, p, r, queue, queued, diag);
-  }
+  const std::int64_t pushes =
+      StandardFormPush(graph, opts, p, r, queue, queued, diag);
 
   // Fingerprint the read region: every row this push — or a
   // from-scratch recompute of it — can read lies in supp(p) ∪ supp(r)
@@ -390,13 +345,6 @@ void QueryEngine::ExecuteItem(WorkItem& item,
                               const ReorderedGraph* reordered) {
   IMPREG_METRIC_TIMER("service.query.latency_ns");
   const bool relabeled = reordered != nullptr && reordered->active();
-  // Frozen-slice serving for the community methods: live snapshot,
-  // original labeling (relabeled hosts interleave differently through
-  // their hash maps — see graph/reorder.h), slices frozen at this
-  // epoch by the sequential phase.
-  const bool shard_frozen = !relabeled && shards_ != nullptr &&
-                            snap.epoch() == epoch_ &&
-                            shards_->FrozenAt(snap.epoch());
   const Query& q = item.query;
   switch (q.method) {
     case QueryMethod::kPprPush:
@@ -420,10 +368,6 @@ void QueryEngine::ExecuteItem(WorkItem& item,
             opts);
         hk.rho = reordered->ToOriginalVector(hk.rho);
         hk.set = reordered->ToOriginalNodes(hk.set);
-      } else if (shard_frozen) {
-        ShardSet::FrozenView view(*shards_,
-                                  shards_->router().HomeShard(q.seeds));
-        hk = HeatKernelRelaxFromDistributionOver(view, item.seed, opts);
       } else {
         hk = HeatKernelRelaxFromDistribution(*frozen, item.seed, opts);
       }
@@ -451,10 +395,6 @@ void QueryEngine::ExecuteItem(WorkItem& item,
             opts);
         nib.distribution = reordered->ToOriginalVector(nib.distribution);
         nib.set = reordered->ToOriginalNodes(nib.set);
-      } else if (shard_frozen) {
-        ShardSet::FrozenView view(*shards_,
-                                  shards_->router().HomeShard(q.seeds));
-        nib = NibbleFromDistributionOver(view, item.seed, opts);
       } else {
         nib = NibbleFromDistribution(*frozen, item.seed, opts);
       }
@@ -620,11 +560,6 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
   IMPREG_METRIC_COUNT("service.engine.queries",
                       static_cast<std::int64_t>(queries.size()));
   const NodeId n = snap.graph().NumNodes();
-  // Sharded serving applies only to the live epoch: a stale pinned
-  // snapshot predates the current slices, so it takes the unsharded
-  // path (bit-identical answers either way; only the locality counters
-  // differ).
-  const bool sharded = shards_ != nullptr && snap.epoch() == epoch_;
   std::vector<QueryResponse> out(queries.size());
   std::vector<int> slot(queries.size(), -1);
   std::vector<std::unique_ptr<WorkItem>> items;
@@ -738,24 +673,14 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
 
   // Freeze the CSR snapshot once, before any parallel work needs it.
   bool needs_frozen = false;
-  bool needs_shard_frozen = false;
   for (const auto& owned : items) {
-    if (owned->done) continue;
-    if (owned->query.method != QueryMethod::kPprPush) needs_frozen = true;
-    if (owned->query.method == QueryMethod::kHeatKernel ||
-        owned->query.method == QueryMethod::kNibble) {
-      needs_shard_frozen = true;
+    if (!owned->done && owned->query.method != QueryMethod::kPprPush) {
+      needs_frozen = true;
     }
   }
   const Graph* frozen = needs_frozen ? &Frozen(snap) : nullptr;
   const ReorderedGraph* reordered =
       needs_frozen ? FrozenReordered(snap) : nullptr;
-  if (sharded && needs_shard_frozen &&
-      (reordered == nullptr || !reordered->active())) {
-    // Per-shard frozen slices for the community methods, built in the
-    // sequential phase (ExecuteItem runs inside ParallelFor).
-    shards_->EnsureFrozen(snap.epoch());
-  }
 
   // Phase 3a (grouped): compatible dense solves in lockstep through
   // ApplyBatch. std::map keys the groups deterministically.
@@ -853,10 +778,6 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       pool_.Settle(queries[i].tenant, actual);
     }
   }
-
-  // Publish the per-shard locality counters accumulated this batch
-  // (sequential, like every other metrics phase).
-  if (shards_ != nullptr) shards_->FlushMetrics();
 
   // Fan responses out to the original batch positions.
   for (std::size_t i = 0; i < queries.size(); ++i) {

@@ -14,7 +14,6 @@
 #include "graph/reorder.h"
 #include "linalg/vector_ops.h"
 #include "service/result_cache.h"
-#include "service/sharding/shard_set.h"
 #include "streaming/dynamic_graph.h"
 
 /// \file
@@ -179,21 +178,6 @@ class QueryEngine {
       /// Per-tenant capacity overrides (tenant → arcs; 0 = unlimited).
       std::map<std::string, std::int64_t> tenant_capacity;
     } admission;
-    /// Sharded serving (docs/sharding.md). With shards > 1 the engine
-    /// partitions the graph into owner slices + one-hop halos and
-    /// executes strongly-local queries (push / heat-kernel / nibble)
-    /// shard-locally with deterministic escalation — bit-identical to
-    /// unsharded serving at any shard count. Dense queries always run
-    /// whole-graph. A plan or slice-build failure falls back to
-    /// unsharded serving (which answers the same bits).
-    struct Sharding {
-      int shards = 1;
-      std::uint64_t partition_seed = 0x5eedULL;
-      /// Optional pre-validated placement (e.g. from a recovered
-      /// manifest). When its shape fails validation the engine
-      /// recomputes the plan from the graph instead.
-      std::vector<int> owner;
-    } sharding;
   };
 
   explicit QueryEngine(const Graph& initial);
@@ -287,21 +271,6 @@ class QueryEngine {
   /// cache and graph are untouched).
   void ResetAdmission() { pool_.Reset(); }
 
-  /// The sharded store, or nullptr when serving unsharded (shards == 1
-  /// or shard build fell back). Exposed for the invariance harness and
-  /// the shard benches; `mutable_shards` exists only so tests can reach
-  /// CorruptHaloReplica.
-  const ShardSet* shards() const { return shards_.get(); }
-  ShardSet* mutable_shards() { return shards_.get(); }
-
-  /// The shard routing epoch (0 when unsharded). Governs placement
-  /// and escalation only — shard-count invariance means routing state
-  /// never changes answer bits, so it is not cache-key material
-  /// (persisted in the shard manifest for placement recovery).
-  std::int64_t RoutingEpoch() const {
-    return shards_ ? shards_->routing_epoch() : 0;
-  }
-
   /// The canonical exact cache key for `query` (exposed so tests can
   /// pin the keying scheme). Seeds are fingerprinted sorted and
   /// deduplicated; parameters print as %.17g. Deliberately epoch-free:
@@ -322,10 +291,6 @@ class QueryEngine {
     NodeId v;
   };
   static constexpr std::size_t kEditJournalCapacity = 4096;
-
-  /// Builds (or rebuilds) the shard set from the current graph when
-  /// options request shards > 1. Failure leaves shards_ null.
-  void BuildShards();
 
   /// Shared edit tail: bump the epoch, retire the old epoch's
   /// accounting, invalidate surgically (or wholesale, per options),
@@ -357,7 +322,6 @@ class QueryEngine {
   std::int64_t frozen_epoch_ = -1;
   std::unique_ptr<ReorderedGraph> reordered_;
   std::int64_t reordered_epoch_ = -1;
-  std::unique_ptr<ShardSet> shards_;
   /// The last kEditJournalCapacity edits, oldest first (consecutive
   /// epochs). A stale-snapshot insert whose missed window outgrew the
   /// journal is conservatively demoted to warm-only.

@@ -104,8 +104,7 @@ class DynamicGraph {
 
   /// Reassembles a graph from its exact serialized parts — adjacency in
   /// per-node insertion order plus the degree bits (which depend on row
-  /// order and, for the sharding layer's halo slices, on rows the slice
-  /// does not hold — so they are never recomputed here). Validates arc
+  /// order, so they are restored verbatim, never recomputed). Validates arc
   /// symmetry: the total count, per-row head uniqueness, and that every
   /// cross arc (u→v) is mirrored by (v→u) with bitwise-equal weight —
   /// an asymmetric adjacency would corrupt later mutations that edit
@@ -120,9 +119,8 @@ class DynamicGraph {
   /// insertion order plus the degree/volume bits. A deep copy — the
   /// inverse of `FromParts`, so `FromParts(ExportParts(g))` round-trips
   /// bit-exactly for any graph, including degenerate topologies (empty,
-  /// isolated nodes, self-loops). The sharding layer uses this to carve
-  /// owner slices without re-deriving degree bits, and the fuzz tests
-  /// use it to pin the round-trip contract.
+  /// isolated nodes, self-loops, disconnected components — pinned by
+  /// streaming_test). Tests use it to compare graphs bit for bit.
   struct Parts {
     std::vector<std::vector<Neighbor>> adjacency;
     std::vector<double> degrees;

@@ -18,9 +18,8 @@ inline double PushThreshold(const DynamicGraph& g, NodeId u, double epsilon) {
 }  // namespace
 
 // The kernel body lives in streaming/push_kernel.h as a template over
-// the adjacency provider, so the sharded serving tier can run the
-// *same* instruction sequence against shard-set views. This
-// instantiation over DynamicGraph is the historical entry point.
+// the adjacency provider; this instantiation over DynamicGraph is its
+// one provider.
 std::int64_t StandardFormPush(const DynamicGraph& g,
                               const IncrementalPprOptions& options,
                               Vector& p, Vector& r,

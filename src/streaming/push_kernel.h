@@ -15,14 +15,11 @@
 
 /// \file
 /// The standard-form push kernel as a template over the graph
-/// adjacency provider. `StandardFormPush` (incremental_ppr.cc) is a
-/// thin instantiation over `DynamicGraph`; the sharded serving tier
-/// (src/service/sharding/) instantiates the same kernel over a
-/// shard-set view that serves every row from the owning shard's slice
-/// and every degree from the owner slice or the resident shard's halo
-/// replica. Because the *instruction sequence* is identical for any
-/// provider that serves the same bits, shard-count invariance of the
-/// push path is by construction, not by after-the-fact merging.
+/// adjacency provider. Its one provider is `DynamicGraph`:
+/// `StandardFormPush` (incremental_ppr.cc) is a thin instantiation
+/// over it. The instruction sequence does not depend on how rows are
+/// stored, so any provider that serves the same row and degree bits
+/// answers the same bits.
 ///
 /// Requirements on `G`: `NumNodes()`, `Degree(u)` (double), and
 /// `Neighbors(u)` returning a range of items with `.head`/`.weight`.

@@ -153,19 +153,17 @@ TEST(DeterminismTest, SweepCutProfileAndSetAreThreadCountInvariant) {
   }
 }
 
-// —— Layout equivalence (ISSUE 2, extended by ISSUE 7) ——
+// —— Layout equivalence ——
 // The SoA kernels (split heads/weights arrays, head-side degree folds,
 // register-blocked SpMM) must be bit-identical to a plain serial
-// adjacency-list traversal that performs the same arithmetic with the
-// same reduction tree. These references intentionally use the
-// `Neighbors(u)` compatibility view — the AoS-style access path — so
-// any divergence between the two layouts shows up as a failed bit
-// comparison. Since ISSUE 7 the per-row reduction is the canonical
-// striped tree of docs/simd.md (four lanes over the 4-aligned arc
-// prefix folded (l0+l2)+(l1+l3), sequential tail, one `init ± tree`
+// per-arc traversal that performs the same arithmetic with the same
+// reduction tree. The references read the same `Heads(u)`/`Weights(u)`
+// spans as the kernels; their independence comes from their own
+// per-arc arithmetic and their own copy of the reduction tree: the
+// canonical striped tree of docs/simd.md (four lanes over the 4-aligned
+// arc prefix folded (l0+l2)+(l1+l3), sequential tail, one `init ± tree`
 // rounding), implemented here from first principles so the production
-// kernels — scalar and AVX2 alike — are checked against an independent
-// copy of the tree.
+// kernels — scalar and AVX2 alike — are checked against it.
 
 double CanonicalRowTree(const std::vector<double>& terms) {
   const std::int64_t len = static_cast<std::int64_t>(terms.size());
@@ -189,10 +187,13 @@ Vector ReferenceApply(const Graph& g, const LinearOperator& op,
   // Per-arc products in adjacency order, one entry per arc of row u.
   const auto row_terms = [&](NodeId u, const Vector& head_scale) {
     std::vector<double> terms;
-    for (const Arc& arc : g.Neighbors(u)) {
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      const NodeId v = heads[i];
       terms.push_back(head_scale.empty()
-                          ? arc.weight * x[arc.head]
-                          : (arc.weight * head_scale[arc.head]) * x[arc.head]);
+                          ? weights[i] * x[v]
+                          : (weights[i] * head_scale[v]) * x[v]);
     }
     return terms;
   };

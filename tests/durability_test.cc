@@ -37,7 +37,6 @@
 #include "service/durability/snapshot.h"
 #include "service/durability/wal.h"
 #include "service/query_engine.h"
-#include "service/sharding/shard_manifest.h"
 #include "streaming/dynamic_graph.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
@@ -112,10 +111,9 @@ DynamicGraph ReferenceGraph(std::int64_t k) {
   return g;
 }
 
-std::unique_ptr<QueryEngine> ReferenceEngine(std::int64_t k,
-                                             const QueryEngine::Options& opt) {
-  auto engine = std::make_unique<QueryEngine>(
-      DynamicGraph::FromGraph(BaseGraph()), opt);
+std::unique_ptr<QueryEngine> ReferenceEngine(std::int64_t k) {
+  auto engine =
+      std::make_unique<QueryEngine>(DynamicGraph::FromGraph(BaseGraph()));
   const auto edits = Edits();
   for (std::int64_t i = 0; i < k; ++i) {
     if (edits[i].remove) {
@@ -204,7 +202,7 @@ void ExpectRecoveryServesReference(const durability::RecoveryOptions& ropts,
                                    const durability::RecoveryReport& report,
                                    QueryEngine& recovered, int threads) {
   ScopedNumThreads scoped(threads);
-  const auto reference = ReferenceEngine(report.epoch, {});
+  const auto reference = ReferenceEngine(report.epoch);
   ExpectGraphsBitIdentical(recovered.graph(), reference->graph());
   EXPECT_EQ(recovered.Epoch(), reference->Epoch());
   const auto got = recovered.RunBatch(ServingBatch());
@@ -542,6 +540,8 @@ TEST(DurabilityTest, SnapshotRoundTripIsBitIdentical) {
                 .status,
             SolveStatus::kConverged);
   WriteFileBytes(snap_dir + "/README", "not a snapshot");
+  // A placement file that older builds wrote beside snapshots.
+  WriteFileBytes(snap_dir + "/shard_manifest", "impreg-shard-manifest-v1");
   const auto listed = durability::ListSnapshots(snap_dir);
   ASSERT_EQ(listed.size(), 3u);
   EXPECT_EQ(listed[0].first, 10);
@@ -1165,136 +1165,6 @@ TEST(DurabilityTest, SnapshotViewIsStableUnderConcurrentWrites) {
       DynamicGraph::FromParts(parts_b.adjacency, parts_b.degrees,
                               parts_b.num_edges, parts_b.total_volume));
   EXPECT_GT(g.NumEdges(), parts_b.num_edges);
-}
-
-// ——— Shard-aware durability (ISSUE 9) ———
-//
-// The durability ladder composes with sharding: recovery rebuilds the
-// shard placement from the fully-recovered graph, so a process that
-// crashed mid-ingest and recovered at k shards serves bit-for-bit what
-// a never-crashed k-shard process — and, by the invariance contract,
-// an unsharded one — would serve.
-
-TEST(DurabilityShardingTest, CrashMidIngestRecoversShardedBitIdentically) {
-  const fs::path dir = FreshDir("impreg_shard_crash");
-  const std::string wal_path = (dir / "wal.log").string();
-  const std::string bytes = WriteFullWal(wal_path);
-  // Crash after the 3rd acknowledged edit: truncate at the record
-  // boundary, exactly the bytes an fsync-certified prefix leaves.
-  const std::int64_t cut = 3;
-  WriteFileBytes(wal_path,
-                 bytes.substr(0, static_cast<std::size_t>(
-                                     kWalHeaderBytes + kWalRecordBytes * cut)));
-
-  QueryEngine::Options sharded;
-  sharded.sharding.shards = 4;
-  durability::RecoveryOptions ropts;
-  ropts.wal_path = wal_path;
-
-  for (const int threads : {1, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ScopedNumThreads scoped(threads);
-    std::unique_ptr<QueryEngine> recovered;
-    const durability::RecoveryReport report = durability::RecoverEngine(
-        DynamicGraph::FromGraph(BaseGraph()), sharded, ropts, &recovered);
-    ASSERT_EQ(report.status, SolveStatus::kConverged) << report.detail;
-    ASSERT_EQ(report.epoch, cut) << report.detail;
-    ASSERT_NE(recovered, nullptr);
-    ASSERT_NE(recovered->shards(), nullptr) << "recovery lost the sharding";
-
-    // Placement is a deterministic function of the recovered graph:
-    // identical to a never-crashed process that built shards at epoch 3.
-    QueryEngine direct(ReferenceGraph(cut), sharded);
-    ASSERT_NE(direct.shards(), nullptr);
-    EXPECT_EQ(recovered->shards()->plan().owner,
-              direct.shards()->plan().owner);
-    EXPECT_EQ(recovered->shards()->plan().shards,
-              direct.shards()->plan().shards);
-
-    // Served bits: recovered k=4 == never-crashed k=4 (shards built at
-    // construction, edits routed through AddEdge) == never-crashed k=1.
-    const auto never_crashed_k4 = ReferenceEngine(cut, sharded);
-    const auto never_crashed_k1 = ReferenceEngine(cut, {});
-    ExpectGraphsBitIdentical(recovered->graph(), never_crashed_k4->graph());
-    const auto got = recovered->RunBatch(ServingBatch());
-    ExpectResponsesBitIdentical(got, never_crashed_k4->RunBatch(ServingBatch()));
-    ExpectResponsesBitIdentical(got, never_crashed_k1->RunBatch(ServingBatch()));
-  }
-}
-
-// The three shard fault sites (docs/robustness.md catalog), injected at
-// their natural moments: a poisoned slice build falls back to unsharded
-// serving (bit-identical anyway), a poisoned manifest write publishes
-// nothing, a poisoned manifest load rejects the file as a unit — and in
-// every case serving and recovery proceed.
-TEST(DurabilityShardingTest, ShardFaultSitesFailSafe) {
-  if (!fault::Compiled()) {
-    GTEST_SKIP() << "fault harness not compiled (IMPREG_FAULT_INJECTION=OFF)";
-  }
-
-  {
-    // shard/slice_build: the slice carve is poisoned; ShardSet::Build
-    // rejects it and the engine serves unsharded — same bits.
-    SCOPED_TRACE("shard/slice_build");
-    QueryEngine::Options sharded;
-    sharded.sharding.shards = 4;
-    fault::Arm("shard/slice_build", fault::FaultKind::kNaN,
-               /*trigger_hit=*/1);
-    QueryEngine engine(DynamicGraph::FromGraph(BaseGraph()), sharded);
-    EXPECT_GT(fault::InjectionCount(), 0);
-    fault::Disarm();
-    EXPECT_EQ(engine.shards(), nullptr) << "poisoned build not rejected";
-    QueryEngine reference(DynamicGraph::FromGraph(BaseGraph()), {});
-    ExpectResponsesBitIdentical(engine.RunBatch(ServingBatch()),
-                                reference.RunBatch(ServingBatch()));
-  }
-
-  ShardManifest manifest;
-  manifest.shards = 2;
-  manifest.partition_seed = 7;
-  manifest.num_nodes = 4;
-  manifest.routing_epoch = 3;
-  manifest.shard_epochs = {5, 5};
-  manifest.owner = {0, 0, 1, 1};
-
-  {
-    // shard/manifest_write: the write is poisoned before any byte
-    // reaches disk — nothing published, no tmp debris, and a retry
-    // after the fault clears succeeds.
-    SCOPED_TRACE("shard/manifest_write");
-    const fs::path dir = FreshDir("impreg_shard_manifest_wfault");
-    const std::string path = ShardManifestPath(dir.string());
-    fault::Arm("shard/manifest_write", fault::FaultKind::kNaN,
-               /*trigger_hit=*/1);
-    EXPECT_FALSE(WriteShardManifest(path, manifest));
-    EXPECT_GT(fault::InjectionCount(), 0);
-    fault::Disarm();
-    EXPECT_FALSE(fs::exists(path));
-    EXPECT_TRUE(fs::is_empty(dir)) << "torn manifest debris left behind";
-    EXPECT_TRUE(WriteShardManifest(path, manifest));
-  }
-
-  {
-    // shard/manifest_load: a manifest that passes its CRC is poisoned
-    // at decode time and rejected as a unit, exactly like corruption;
-    // the caller recomputes the plan. The file is untouched, so a
-    // clean load still round-trips.
-    SCOPED_TRACE("shard/manifest_load");
-    const fs::path dir = FreshDir("impreg_shard_manifest_lfault");
-    const std::string path = ShardManifestPath(dir.string());
-    ASSERT_TRUE(WriteShardManifest(path, manifest));
-    ShardManifest loaded;
-    std::string detail;
-    fault::Arm("shard/manifest_load", fault::FaultKind::kNaN,
-               /*trigger_hit=*/1);
-    EXPECT_FALSE(LoadShardManifest(path, &loaded, &detail));
-    EXPECT_GT(fault::InjectionCount(), 0);
-    fault::Disarm();
-    ASSERT_TRUE(LoadShardManifest(path, &loaded, &detail)) << detail;
-    EXPECT_EQ(loaded.owner, manifest.owner);
-    EXPECT_EQ(loaded.shard_epochs, manifest.shard_epochs);
-    EXPECT_EQ(loaded.routing_epoch, manifest.routing_epoch);
-  }
 }
 
 }  // namespace

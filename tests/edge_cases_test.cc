@@ -64,7 +64,7 @@ TEST(EdgeCasesTest, PushWithTinyCapStopsCleanly) {
   options.max_pushes = 10;
   const PushResult result =
       ApproximatePageRank(g, SingleNodeSeed(g, 0), options);
-  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kBudgetExhausted);
   EXPECT_LE(result.pushes, 10);
   // Mass conservation still holds at the point it stopped.
   EXPECT_NEAR(Sum(result.p) + Sum(result.residual), 1.0, 1e-10);

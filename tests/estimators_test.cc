@@ -39,9 +39,11 @@ TEST(SubsampleTest, SampleEdgesAreSubset) {
   const Graph g = ErdosRenyi(50, 0.2, rng);
   const Graph sample = SubsampleEdges(g, 0.5, rng);
   for (NodeId u = 0; u < sample.NumNodes(); ++u) {
-    for (const Arc& arc : sample.Neighbors(u)) {
-      EXPECT_TRUE(g.HasEdge(u, arc.head));
-      EXPECT_DOUBLE_EQ(arc.weight, g.EdgeWeight(u, arc.head));
+    const auto heads = sample.Heads(u);
+    const auto weights = sample.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      EXPECT_TRUE(g.HasEdge(u, heads[i]));
+      EXPECT_DOUBLE_EQ(weights[i], g.EdgeWeight(u, heads[i]));
     }
   }
 }

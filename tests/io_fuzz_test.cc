@@ -39,9 +39,11 @@ void CheckParsedGraphIsValid(const std::optional<Graph>& g) {
   // Whatever parsed must be internally consistent.
   double volume = 0.0;
   for (NodeId u = 0; u < g->NumNodes(); ++u) {
-    for (const Arc& arc : g->Neighbors(u)) {
-      ASSERT_TRUE(g->IsValidNode(arc.head));
-      ASSERT_GT(arc.weight, 0.0);
+    const auto heads = g->Heads(u);
+    const auto weights = g->Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      ASSERT_TRUE(g->IsValidNode(heads[i]));
+      ASSERT_GT(weights[i], 0.0);
     }
     volume += g->Degree(u);
   }

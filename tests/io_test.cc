@@ -93,12 +93,14 @@ TEST(IoTest, RoundTripThroughString) {
   ASSERT_EQ(parsed->NumNodes(), original.NumNodes());
   ASSERT_EQ(parsed->NumEdges(), original.NumEdges());
   for (NodeId u = 0; u < original.NumNodes(); ++u) {
-    const auto na = original.Neighbors(u);
-    const auto nb = parsed->Neighbors(u);
-    ASSERT_EQ(na.size(), nb.size());
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].head, nb[i].head);
-      EXPECT_DOUBLE_EQ(na[i].weight, nb[i].weight);
+    const auto ha = original.Heads(u);
+    const auto hb = parsed->Heads(u);
+    const auto wa = original.Weights(u);
+    const auto wb = parsed->Weights(u);
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i], hb[i]);
+      EXPECT_DOUBLE_EQ(wa[i], wb[i]);
     }
   }
 }

@@ -26,7 +26,7 @@ TEST(PowerMethodTest, FindsDominantEigenpairOfAdjacency) {
   const AdjacencyOperator adj(g);
   const PowerMethodResult result =
       PowerMethod(adj, RandomVector(10, 1), {});
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_NEAR(result.eigenvalue, 9.0, 1e-8);
 }
 
@@ -114,7 +114,7 @@ TEST(PowerMethodTest, ConvergesToNegativeDominantEigenvalue) {
   options.max_iterations = 10000;
   const PowerMethodResult result =
       PowerMethod(neg, RandomVector(6, 17), options);
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_NEAR(result.eigenvalue, -5.0, 1e-6);
 }
 
@@ -123,7 +123,7 @@ TEST(PowerMethodTest, ExactEigenvectorStartConvergesImmediately) {
   const AdjacencyOperator adj(g);
   const PowerMethodResult result =
       PowerMethod(adj, Vector(6, 1.0), {});
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_LE(result.iterations, 2);
   EXPECT_NEAR(result.eigenvalue, 5.0, 1e-12);
 }

@@ -218,8 +218,8 @@ TEST_P(PropertyTest, WhiskersAreDisjointAndBridgeBounded) {
     for (NodeId u : w.nodes) in_whisker[u] = 1;
     int crossing_edges = 0;
     for (NodeId u : w.nodes) {
-      for (const Arc& arc : g.Neighbors(u)) {
-        if (arc.head != u && !in_whisker[arc.head]) ++crossing_edges;
+      for (NodeId v : g.Heads(u)) {
+        if (v != u && !in_whisker[v]) ++crossing_edges;
       }
     }
     EXPECT_EQ(crossing_edges, 1);

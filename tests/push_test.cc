@@ -28,7 +28,7 @@ TEST(PushTest, ResidualGuaranteeHolds) {
   options.epsilon = 1e-4;
   const PushResult result =
       ApproximatePageRank(g, SingleNodeSeed(g, 0), options);
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     if (g.Degree(u) > 0.0) {
       EXPECT_LT(result.residual[u], options.epsilon * g.Degree(u));
@@ -102,7 +102,7 @@ TEST(PushTest, SupportIsSparseOnLargeGraph) {
   options.epsilon = 1e-3;
   const PushResult result = ApproximatePageRank(
       sg.graph, SingleNodeSeed(sg.graph, sg.communities[0][0]), options);
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_LT(result.support,
             static_cast<std::int64_t>(1.0 / (options.alpha *
                                              options.epsilon)));
@@ -154,7 +154,7 @@ TEST(PushTest, LocalClusterFindsPlantedCommunity) {
 TEST(PushTest, SeedWithZeroMassStaysEmpty) {
   const Graph g = PathGraph(10);
   const PushResult result = ApproximatePageRank(g, Vector(10, 0.0), {});
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_EQ(result.pushes, 0);
   EXPECT_DOUBLE_EQ(Sum(result.p), 0.0);
 }
@@ -169,7 +169,7 @@ TEST(PushTest, SelfLoopMassReturns) {
   options.epsilon = 1e-8;
   const PushResult result =
       ApproximatePageRank(g, SingleNodeSeed(g, 0), options);
-  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   EXPECT_NEAR(Sum(result.p) + Sum(result.residual), 1.0, 1e-10);
   EXPECT_GT(result.p[0], result.p[1]);
 }

@@ -30,8 +30,8 @@ TEST(ErdosRenyiTest, NoSelfLoopsOrParallel) {
   const Graph g = ErdosRenyi(100, 0.2, rng);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     EXPECT_FALSE(g.HasEdge(u, u));
-    for (const Arc& arc : g.Neighbors(u)) {
-      EXPECT_DOUBLE_EQ(arc.weight, 1.0);  // No merged parallels.
+    for (double weight : g.Weights(u)) {
+      EXPECT_DOUBLE_EQ(weight, 1.0);  // No merged parallels.
     }
   }
 }
@@ -143,9 +143,9 @@ TEST(PlantedPartitionTest, BlockStructure) {
   // Count within vs across edges.
   std::int64_t within = 0, across = 0;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (arc.head > u) {
-        (u / 50 == arc.head / 50 ? within : across) += 1;
+    for (NodeId v : g.Heads(u)) {
+      if (v > u) {
+        (u / 50 == v / 50 ? within : across) += 1;
       }
     }
   }
@@ -198,11 +198,11 @@ TEST(DeterminismTest, SameSeedSameGraph) {
   const Graph b = ErdosRenyi(200, 0.1, rng_b);
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
   for (NodeId u = 0; u < a.NumNodes(); ++u) {
-    const auto na = a.Neighbors(u);
-    const auto nb = b.Neighbors(u);
-    ASSERT_EQ(na.size(), nb.size());
-    for (std::size_t i = 0; i < na.size(); ++i) {
-      EXPECT_EQ(na[i].head, nb[i].head);
+    const auto ha = a.Heads(u);
+    const auto hb = b.Heads(u);
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha[i], hb[i]);
     }
   }
 }

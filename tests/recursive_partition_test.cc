@@ -81,9 +81,11 @@ TEST(KwayTest, CutMatchesManualCount) {
   const KwayResult result = KwayPartition(g, 5);
   double manual = 0.0;
   for (NodeId u = 0; u < 50; ++u) {
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (arc.head > u && result.part[u] != result.part[arc.head]) {
-        manual += arc.weight;
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] > u && result.part[u] != result.part[heads[i]]) {
+        manual += weights[i];
       }
     }
   }

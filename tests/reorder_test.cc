@@ -258,7 +258,7 @@ TEST(ReorderTest, PushPprIsBitwiseLabelInvariantAtOneAndEightThreads) {
         EXPECT_EQ(got.pushes, expected.pushes);
         EXPECT_EQ(got.work, expected.work);
         EXPECT_EQ(got.support, expected.support);
-        EXPECT_EQ(got.converged, expected.converged);
+        EXPECT_EQ(got.diagnostics.status, expected.diagnostics.status);
         ExpectBitIdentical(got.p, expected.p);
         ExpectBitIdentical(got.residual, expected.residual);
       }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -500,6 +501,113 @@ TEST(QueryEngineTest, HeatKernelAndNibbleQueriesMatchDirectCalls) {
   EXPECT_EQ(nib_response.scores, nib_direct.distribution);
   EXPECT_EQ(nib_response.set, nib_direct.set);
   EXPECT_DOUBLE_EQ(nib_response.conductance, nib_direct.stats.conductance);
+}
+
+// Degenerate topologies serve every method: each answer is usable and
+// finite, before and after edits that add a long edge and a self-loop,
+// and the dense, hk-relax and Nibble answers equal direct solver calls
+// on the engine's current graph bit for bit.
+TEST(QueryEngineTest, DegenerateTopologiesServeEveryMethod) {
+  GraphBuilder loops(6);
+  for (NodeId u = 0; u < 6; ++u) loops.AddEdge(u, u);
+  loops.AddEdge(0, 1);
+  GraphBuilder two_k5(10);
+  for (NodeId i = 0; i < 5; ++i) {
+    for (NodeId j = i + 1; j < 5; ++j) {
+      two_k5.AddEdge(i, j);
+      two_k5.AddEdge(5 + i, 5 + j);
+    }
+  }
+  GraphBuilder path(4);
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  path.AddEdge(2, 3);
+  const std::pair<const char*, Graph> topologies[] = {
+      {"single node", GraphBuilder(1).Build()},
+      {"8 isolated nodes", GraphBuilder(8).Build()},
+      {"self-loops", loops.Build()},
+      {"two disconnected K5", two_k5.Build()},
+      {"path P4", path.Build()}};
+
+  for (const auto& [name, g] : topologies) {
+    SCOPED_TRACE(name);
+    const NodeId n = g.NumNodes();
+    std::vector<Query> batch;
+    for (QueryMethod method :
+         {QueryMethod::kPprPush, QueryMethod::kPprDense,
+          QueryMethod::kHeatKernel, QueryMethod::kNibble}) {
+      for (NodeId s : {NodeId{0}, NodeId(n / 2), NodeId(n - 1)}) {
+        Query q;
+        q.method = method;
+        q.seeds = {s};
+        q.epsilon = 1e-4;
+        q.steps = 8;
+        q.t = 3.0;
+        batch.push_back(std::move(q));
+      }
+    }
+    QueryEngine engine(g);
+    const auto serve_and_check = [&](const char* phase) {
+      SCOPED_TRACE(phase);
+      const std::vector<QueryResponse> responses = engine.RunBatch(batch);
+      ASSERT_EQ(responses.size(), batch.size());
+      const Graph current = engine.graph().ToGraph();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Query& q = batch[i];
+        const QueryResponse& got = responses[i];
+        SCOPED_TRACE(std::string(QueryMethodName(q.method)) + " seed " +
+                     std::to_string(q.seeds[0]));
+        EXPECT_TRUE(StatusIsUsable(got.status)) << got.detail;
+        for (double v : got.scores) ASSERT_TRUE(std::isfinite(v));
+        Vector seed(n, 0.0);
+        seed[q.seeds[0]] = 1.0;
+        switch (q.method) {
+          case QueryMethod::kPprPush:
+            break;
+          case QueryMethod::kPprDense: {
+            PageRankOptions options;
+            options.gamma = q.gamma;
+            options.tolerance = q.tolerance;
+            options.max_iterations = q.max_iterations;
+            const PageRankResult direct =
+                PersonalizedPageRank(current, seed, options);
+            EXPECT_EQ(got.scores, direct.scores);
+            EXPECT_EQ(got.status, direct.diagnostics.status);
+            break;
+          }
+          case QueryMethod::kHeatKernel: {
+            HkRelaxOptions options;
+            options.t = q.t;
+            options.delta = q.delta;
+            options.tail_tolerance = q.epsilon;
+            const HkRelaxResult direct =
+                HeatKernelRelaxFromDistribution(current, seed, options);
+            EXPECT_EQ(got.scores, direct.rho);
+            EXPECT_EQ(got.set, direct.set);
+            EXPECT_EQ(got.conductance, direct.stats.conductance);
+            EXPECT_EQ(got.status, direct.diagnostics.status);
+            break;
+          }
+          case QueryMethod::kNibble: {
+            NibbleOptions options;
+            options.steps = q.steps;
+            options.epsilon = q.epsilon;
+            const NibbleResult direct =
+                NibbleFromDistribution(current, seed, options);
+            EXPECT_EQ(got.scores, direct.distribution);
+            EXPECT_EQ(got.set, direct.set);
+            EXPECT_EQ(got.conductance, direct.stats.conductance);
+            EXPECT_EQ(got.status, direct.diagnostics.status);
+            break;
+          }
+        }
+      }
+    };
+    serve_and_check("before edits");
+    engine.AddEdge(0, n - 1, 2.0);
+    engine.AddEdge(0, 0, 1.0);
+    serve_and_check("after edits");
+  }
 }
 
 TEST(QueryEngineTest, BudgetExhaustedQueryIsMarkedDegradedNeverSilent) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -185,18 +186,42 @@ TEST(DynamicGraphTest, DeleteThenReAddIsBitIdenticalToNeverTouched) {
   ExpectPartsBitIdentical(g.ExportParts(), untouched);
 }
 
+DynamicGraph::Parts RoundTripParts(const DynamicGraph::Parts& parts) {
+  return DynamicGraph::FromParts(parts.adjacency, parts.degrees,
+                                 parts.num_edges, parts.total_volume)
+      .ExportParts();
+}
+
 TEST(DynamicGraphTest, FromPartsValidatesPairwiseSymmetry) {
   DynamicGraph g(3);
   g.AddEdge(0, 1, 2.0);
   g.AddEdge(1, 2);
   const DynamicGraph::Parts parts = g.ExportParts();
 
-  // The honest round-trip is bit-exact.
-  ExpectPartsBitIdentical(
-      DynamicGraph::FromParts(parts.adjacency, parts.degrees,
-                              parts.num_edges, parts.total_volume)
-          .ExportParts(),
-      parts);
+  // The honest round-trip is bit-exact, degenerate topologies included.
+  ExpectPartsBitIdentical(RoundTripParts(parts), parts);
+  GraphBuilder loops(6);
+  for (NodeId u = 0; u < 6; ++u) loops.AddEdge(u, u);
+  loops.AddEdge(0, 1);
+  GraphBuilder two_k5(10);
+  for (NodeId i = 0; i < 5; ++i) {
+    for (NodeId j = i + 1; j < 5; ++j) {
+      two_k5.AddEdge(i, j);
+      two_k5.AddEdge(5 + i, 5 + j);
+    }
+  }
+  const std::pair<const char*, Graph> degenerate[] = {
+      {"empty", GraphBuilder(0).Build()},
+      {"single node", GraphBuilder(1).Build()},
+      {"8 isolated nodes", GraphBuilder(8).Build()},
+      {"self-loops", loops.Build()},
+      {"two disconnected K5", two_k5.Build()}};
+  for (const auto& [name, topology] : degenerate) {
+    SCOPED_TRACE(name);
+    const DynamicGraph::Parts exported =
+        DynamicGraph::FromGraph(topology).ExportParts();
+    ExpectPartsBitIdentical(RoundTripParts(exported), exported);
+  }
 
   // Arc (0→1) without its mirror (1→0).
   DynamicGraph::Parts missing = parts;
@@ -434,8 +459,10 @@ TEST_F(IncrementalPprTest, TracksInsertionsToTheEnd) {
   options.epsilon = 1e-8;
   IncrementalPersonalizedPageRank inc(empty, seed, options);
   for (NodeId u = 0; u < final_graph.NumNodes(); ++u) {
-    for (const Arc& arc : final_graph.Neighbors(u)) {
-      if (arc.head >= u) inc.AddEdge(u, arc.head, arc.weight);
+    const auto heads = final_graph.Heads(u);
+    const auto weights = final_graph.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (heads[i] >= u) inc.AddEdge(u, heads[i], weights[i]);
     }
   }
   const Vector exact = ExactPpr(inc.graph(), seed, options.gamma);

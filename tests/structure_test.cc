@@ -71,8 +71,8 @@ TEST(CoreTest, KCoreInducedMinDegreeIsK) {
   for (NodeId u : core_nodes) in_core[u] = 1;
   for (NodeId u : core_nodes) {
     int internal = 0;
-    for (const Arc& arc : g.Neighbors(u)) {
-      if (arc.head != u && in_core[arc.head]) ++internal;
+    for (NodeId v : g.Heads(u)) {
+      if (v != u && in_core[v]) ++internal;
     }
     EXPECT_GE(internal, k);
   }

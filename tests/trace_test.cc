@@ -49,7 +49,7 @@ TEST(TraceTest, CgResidualTraceIsMonotoneNonIncreasingOnSpd) {
 
   ScopedTraceCapture capture;
   const CgResult result = ConjugateGradient(a, b);
-  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.diagnostics.status, SolveStatus::kConverged);
 
   const SolverTrace* trace = TraceCollector::Get().Latest("cg");
   ASSERT_NE(trace, nullptr);
@@ -80,7 +80,7 @@ TEST(TraceTest, ChebyshevTraceStaysUnderAprioriBound) {
 
   ScopedTraceCapture capture;
   const ChebyshevResult result = ChebyshevSolve(a, b, lo, hi);
-  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.diagnostics.status, SolveStatus::kConverged);
 
   const SolverTrace* trace = TraceCollector::Get().Latest("chebyshev");
   ASSERT_NE(trace, nullptr);
@@ -111,7 +111,7 @@ TEST(TraceTest, PushArcWorkTotalEqualsWorkBudgetAccountingExactly) {
 
   ScopedTraceCapture capture;
   const PushResult result = ApproximatePageRank(g, SingleNodeSeed(g, 0), options);
-  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.diagnostics.status, SolveStatus::kConverged);
   ASSERT_GT(result.pushes, 0);
 
   const SolverTrace* trace = TraceCollector::Get().Latest("push");

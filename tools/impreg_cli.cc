@@ -17,10 +17,10 @@
 //   impreg_cli partition  <edgelist> <k>
 //   impreg_cli generate   <family> <n> <out-file> [seed]
 //                         (family: social | ba | er | forestfire)
-//   impreg_cli query-batch <edgelist> <requests.jsonl> [--shards=K]
+//   impreg_cli query-batch <edgelist> <requests.jsonl>
 //   impreg_cli serve      <edgelist> <requests.jsonl> [--wal=FILE]
 //                         [--snapshot-dir=DIR] [--snapshot-every=N]
-//                         [--sync-every=N] [--shards=K]
+//                         [--sync-every=N]
 //   impreg_cli recover    <edgelist> [--wal=FILE] [--snapshot-dir=DIR]
 
 #include <algorithm>
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/impreg.h"
-#include "service/sharding/shard_manifest.h"
 
 namespace impreg {
 namespace {
@@ -64,11 +63,10 @@ void PrintHelp(std::FILE* out) {
       "  generate   <family> <n> <out> [seed]    family: "
       "social|ba|er|forestfire\n"
       "  query-batch <edgelist> <requests.jsonl> serve a JSONL query batch\n"
-      "             [--shards=K]                 (schema: docs/serving.md;\n"
-      "                                          sharding: docs/sharding.md)\n"
+      "                                          (schema: docs/serving.md)\n"
       "  serve      <edgelist> <requests.jsonl>  query-batch + durability:\n"
       "             [--wal=FILE] [--snapshot-dir=DIR] [--snapshot-every=N]\n"
-      "             [--sync-every=N] [--shards=K] recover, then write-ahead\n"
+      "             [--sync-every=N]             recover, then write-ahead\n"
       "                                          log every accepted edit\n"
       "                                          (docs/durability.md)\n"
       "  recover    <edgelist> [--wal=FILE] [--snapshot-dir=DIR]\n"
@@ -333,24 +331,6 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
                    written.detail.c_str());
       return false;
     }
-    // The placement metadata rides alongside the snapshot: one manifest
-    // stamping every shard with the snapshot epoch. A failed publish is
-    // non-fatal — recovery recomputes the identical plan from the graph.
-    if (engine.shards() != nullptr) {
-      const ShardPlan& plan = engine.shards()->plan();
-      ShardManifest manifest;
-      manifest.shards = plan.shards;
-      manifest.partition_seed = plan.partition_seed;
-      manifest.num_nodes = engine.graph().NumNodes();
-      manifest.routing_epoch = engine.RoutingEpoch();
-      manifest.shard_epochs.assign(plan.shards, engine.Epoch());
-      manifest.owner = plan.owner;
-      if (!WriteShardManifest(ShardManifestPath(snapshot_dir), manifest)) {
-        std::fprintf(stderr,
-                     "impreg_cli: shard manifest not published (plan will "
-                     "be recomputed on recovery)\n");
-      }
-    }
     return true;
   };
 
@@ -466,13 +446,8 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
 }
 
 int CmdQueryBatch(int argc, char** argv) {
-  std::string graph_path, requests_path, value;
-  int shards = 1;
+  std::string graph_path, requests_path;
   for (int i = 0; i < argc; ++i) {
-    if (FlagValue(argv[i], "--shards", &value)) {
-      shards = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-      continue;
-    }
     if (graph_path.empty()) {
       graph_path = argv[i];
     } else if (requests_path.empty()) {
@@ -484,16 +459,14 @@ int CmdQueryBatch(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  if (graph_path.empty() || requests_path.empty() || shards < 1) {
+  if (graph_path.empty() || requests_path.empty()) {
     std::fprintf(stderr,
                  "impreg_cli: query-batch: need <edgelist> "
-                 "<requests.jsonl>, and --shards must be >= 1\n");
+                 "<requests.jsonl>\n");
     return kExitUsage;
   }
   const Graph g = LoadOrDie(graph_path);
-  QueryEngine::Options options;
-  options.sharding.shards = shards;
-  QueryEngine engine(g, options);
+  QueryEngine engine(g);
   return ServeRequestStream(engine, requests_path, /*wal=*/nullptr,
                             /*snapshot_dir=*/"", /*snapshot_every=*/0);
 }
@@ -526,7 +499,6 @@ int CmdServe(int argc, char** argv) {
   std::string graph_path, requests_path, wal_path, snapshot_dir, value;
   int snapshot_every = 0;
   int sync_every = 1;
-  int shards = 1;
   for (int i = 0; i < argc; ++i) {
     if (FlagValue(argv[i], "--wal", &wal_path)) continue;
     if (FlagValue(argv[i], "--snapshot-dir", &snapshot_dir)) continue;
@@ -537,10 +509,6 @@ int CmdServe(int argc, char** argv) {
     }
     if (FlagValue(argv[i], "--sync-every", &value)) {
       sync_every = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-      continue;
-    }
-    if (FlagValue(argv[i], "--shards", &value)) {
-      shards = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
       continue;
     }
     if (graph_path.empty()) {
@@ -554,50 +522,25 @@ int CmdServe(int argc, char** argv) {
     }
   }
   if (graph_path.empty() || requests_path.empty() ||
-      (wal_path.empty() && !snapshot_dir.empty()) || shards < 1) {
+      (wal_path.empty() && !snapshot_dir.empty())) {
     std::fprintf(stderr,
-                 "impreg_cli: serve: need <edgelist> <requests.jsonl>, "
-                 "--snapshot-dir requires --wal, and --shards must be "
-                 ">= 1\n");
+                 "impreg_cli: serve: need <edgelist> <requests.jsonl>, and "
+                 "--snapshot-dir requires --wal\n");
     return kExitUsage;
   }
 
   const Graph g = LoadOrDie(graph_path);
-  QueryEngine::Options options;
-  options.sharding.shards = shards;
-  // A persisted manifest pins the pre-crash placement (seed + owner
-  // array); when it is missing, rejected, or shaped for a different
-  // shard count, the engine recomputes the plan — deterministically
-  // identical for the same recovered graph.
-  if (shards > 1 && !snapshot_dir.empty()) {
-    ShardManifest manifest;
-    std::string detail;
-    if (LoadShardManifest(ShardManifestPath(snapshot_dir), &manifest,
-                          &detail)) {
-      if (manifest.shards == shards) {
-        options.sharding.partition_seed = manifest.partition_seed;
-        options.sharding.owner = manifest.owner;
-      }
-    } else if (detail != "manifest missing or unreadable") {
-      // Missing is the normal first-boot case; anything else is a
-      // corrupt or torn manifest worth surfacing.
-      std::fprintf(stderr,
-                   "impreg_cli: shard manifest rejected (%s); recomputing "
-                   "placement\n",
-                   detail.c_str());
-    }
-  }
-
   std::unique_ptr<QueryEngine> engine;
   durability::WriteAheadLog wal;
   if (wal_path.empty()) {
-    engine = std::make_unique<QueryEngine>(g, options);
+    engine = std::make_unique<QueryEngine>(g);
   } else {
     durability::RecoveryOptions recovery;
     recovery.wal_path = wal_path;
     recovery.snapshot_dir = snapshot_dir;
     const durability::RecoveryReport report = durability::RecoverEngine(
-        DynamicGraph::FromGraph(g), options, recovery, &engine);
+        DynamicGraph::FromGraph(g), QueryEngine::Options(), recovery,
+        &engine);
     if (report.status == SolveStatus::kInvalidInput) {
       std::fprintf(stderr, "impreg_cli: recovery failed: %s\n",
                    report.detail.c_str());
@@ -676,11 +619,10 @@ constexpr CommandSpec kCommands[] = {
     {"pagerank", 3, "pagerank <edgelist> [gamma]"},
     {"partition", 4, "partition <edgelist> <k>"},
     {"generate", 5, "generate <family> <n> <out> [seed]"},
-    {"query-batch", 4,
-     "query-batch <edgelist> <requests.jsonl> [--shards=K]"},
+    {"query-batch", 4, "query-batch <edgelist> <requests.jsonl>"},
     {"serve", 4,
      "serve <edgelist> <requests.jsonl> [--wal=FILE] [--snapshot-dir=DIR] "
-     "[--snapshot-every=N] [--sync-every=N] [--shards=K]"},
+     "[--snapshot-every=N] [--sync-every=N]"},
     {"recover", 3, "recover <edgelist> [--wal=FILE] [--snapshot-dir=DIR]"},
 };
 

@@ -25,7 +25,7 @@
 //                  [--tenants=a,b,...] [--capacity=0]
 //                  [--degrade-fraction=0.5] [--shed-fraction=1.0]
 //                  [--degraded-cap=2048] [--default-cost=4096]
-//                  [--no-cache] [--cache-capacity=256] [--shards=1]
+//                  [--no-cache] [--cache-capacity=256]
 //                  [--name=BM_LoadServe/steady] [--out=report.json]
 //
 // --capacity > 0 enables admission control with that many arcs per
@@ -66,7 +66,7 @@ int Usage() {
       "  admission: --capacity=0 (arcs per tenant; >0 enables)\n"
       "             --degrade-fraction=0.5 --shed-fraction=1.0\n"
       "             --degraded-cap=2048 --default-cost=4096\n"
-      "  engine:    --no-cache --cache-capacity=256 --shards=1\n"
+      "  engine:    --no-cache --cache-capacity=256\n"
       "  report:    --name=BM_LoadServe/steady --out=report.json\n"
       "\n"
       "exit codes: 0 ok, 2 usage, 4 cannot write report\n");
@@ -162,12 +162,6 @@ int Run(int argc, char** argv) {
     } else if (FlagValue(arg, "--cache-capacity", &v)) {
       engine_options.cache_capacity =
           static_cast<std::size_t>(std::strtoll(v, nullptr, 10));
-    } else if (FlagValue(arg, "--shards", &v)) {
-      engine_options.sharding.shards = std::atoi(v);
-      if (engine_options.sharding.shards < 1) {
-        std::fprintf(stderr, "impreg_loadgen: --shards must be >= 1\n");
-        return kExitUsage;
-      }
     } else if (FlagValue(arg, "--name", &v)) {
       name = v;
     } else if (FlagValue(arg, "--out", &v)) {
@@ -211,20 +205,11 @@ int Run(int argc, char** argv) {
               ArrivalPatternName(workload.pattern), workload.zipf_exponent,
               static_cast<unsigned long long>(workload.seed));
   std::printf("graph: %lld nodes, %lld edges; threads: %d; cache: %s; "
-              "admission: %s; shards: %d\n",
+              "admission: %s\n",
               static_cast<long long>(graph.NumNodes()),
               static_cast<long long>(graph.NumEdges()), ImpregNumThreads(),
               engine_options.enable_cache ? "on" : "off",
-              engine_options.admission.enabled ? "on" : "off",
-              engine.shards() != nullptr ? engine.shards()->shards() : 1);
-  if (engine.shards() != nullptr) {
-    const ShardSet::CounterTotals t = engine.shards()->Totals();
-    std::printf("shard work: local rows %lld, escalations %lld, halo "
-                "crossings %lld\n",
-                static_cast<long long>(t.local_rows),
-                static_cast<long long>(t.escalations),
-                static_cast<long long>(t.halo_crossings));
-  }
+              engine_options.admission.enabled ? "on" : "off");
   std::printf("provenance: cold %lld, warm %lld, cached %lld; "
               "degraded %lld, shed %lld, invalid %lld\n",
               static_cast<long long>(stats.cold),
