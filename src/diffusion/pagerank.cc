@@ -1,6 +1,7 @@
 #include "diffusion/pagerank.h"
 
 #include <cmath>
+#include <utility>
 
 #include "core/metrics.h"
 #include "core/parallel.h"
@@ -41,61 +42,105 @@ bool RejectNonFiniteSeed(const Graph& g, const Vector& seed,
 
 PageRankResult PersonalizedPageRank(const Graph& g, const Vector& seed,
                                     const PageRankOptions& options) {
-  ValidateSeed(g, seed);
-  IMPREG_CHECK(options.gamma > 0.0 && options.gamma < 1.0);
+  return std::move(PersonalizedPageRankBatch(g, {seed}, options).front());
+}
 
-  PageRankResult result;
-  if (RejectNonFiniteSeed(g, seed, result)) return result;
-  SolverTrace* trace = IMPREG_TRACE_BEGIN("pagerank.richardson");
+std::vector<PageRankResult> PersonalizedPageRankBatch(
+    const Graph& g, std::vector<Vector> seeds, const PageRankOptions& options,
+    const std::vector<WorkBudget*>& budgets) {
+  IMPREG_CHECK(options.gamma > 0.0 && options.gamma < 1.0);
+  IMPREG_CHECK(budgets.empty() || budgets.size() == seeds.size());
+  const double gamma = options.gamma;
+  const NodeId n = g.NumNodes();
+
+  std::vector<PageRankResult> results(seeds.size());
+  std::vector<SolverTrace*> traces(seeds.size(), nullptr);
+  // Columns that passed the seed checks, and the subset still iterating
+  // (both in column order, so the step order is deterministic).
+  std::vector<std::size_t> solved;
+  for (std::size_t j = 0; j < seeds.size(); ++j) {
+    ValidateSeed(g, seeds[j]);
+    if (RejectNonFiniteSeed(g, seeds[j], results[j])) continue;
+    traces[j] = IMPREG_TRACE_BEGIN("pagerank.richardson");
+    results[j].scores = seeds[j];
+    Scale(gamma, results[j].scores);
+    solved.push_back(j);
+  }
+  if (solved.empty()) return results;
 
   const RandomWalkOperator walk(g);
-  result.scores = seed;
-  Scale(options.gamma, result.scores);
+  std::vector<std::size_t> running = solved;
+  std::vector<Vector> xs;
+  std::vector<Vector> ys;
+  for (int iter = 1; iter <= options.max_iterations && !running.empty();
+       ++iter) {
+    xs.clear();
+    for (std::size_t j : running) xs.push_back(std::move(results[j].scores));
+    walk.ApplyBatch(xs, ys);
+    std::size_t kept = 0;
+    for (std::size_t c = 0; c < running.size(); ++c) {
+      const std::size_t j = running[c];
+      PageRankResult& result = results[j];
+      SolverDiagnostics& diag = result.diagnostics;
+      result.scores = std::move(xs[c]);
+      // ys[c] holds M p; the update overwrites it with the next iterate.
+      Vector& next = ys[c];
+      IMPREG_FAULT_POINT("pagerank/walked", next);
+      const Vector& seed = seeds[j];
+      // Richardson update, row-parallel: each entry is independent.
+      ParallelFor(0, n, 1 << 14, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t u = begin; u < end; ++u) {
+          next[u] = gamma * seed[u] + (1.0 - gamma) * next[u];
+        }
+      });
+      double delta = DistanceL1(next, result.scores);
+      IMPREG_FAULT_POINT("pagerank/delta", delta);
+      result.iterations = iter;
+      // The L1 distance inherits any NaN/Inf in `next`, so this one
+      // scalar is the whole non-finite sentinel; the accepted scores are
+      // finite by induction (each survived this check before the swap).
+      if (!std::isfinite(delta)) {
+        diag.status = SolveStatus::kNonFinite;
+        diag.detail = "diffusion update went non-finite; "
+                      "returning last finite iterate";
+        IMPREG_TRACE_EVENT(traces[j], iter, kRollback, delta);
+        continue;
+      }
+      diag.RecordResidual(delta);
+      IMPREG_TRACE_EVENT(traces[j], iter, kResidual, delta);
+      result.scores.swap(next);
+      if (delta <= options.tolerance) {
+        diag.status = SolveStatus::kConverged;
+        continue;
+      }
+      WorkBudget* budget = budgets.empty() ? nullptr : budgets[j];
+      if (budget != nullptr) {
+        budget->Charge(g.NumArcs());
+        if (budget->Exhausted()) {
+          diag.status = SolveStatus::kBudgetExhausted;
+          diag.detail = "work budget exhausted; scores are the "
+                        "early-stopped diffusion";
+          continue;
+        }
+      }
+      running[kept++] = j;
+    }
+    running.resize(kept);
+  }
 
-  Vector walked(g.NumNodes());
-  Vector next(g.NumNodes());
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    walk.Apply(result.scores, walked);
-    IMPREG_FAULT_POINT("pagerank/walked", walked);
-    // Richardson update, row-parallel: each entry is independent.
-    ParallelFor(0, g.NumNodes(), 1 << 14,
-                [&](std::int64_t begin, std::int64_t end) {
-                  for (std::int64_t u = begin; u < end; ++u) {
-                    next[u] = options.gamma * seed[u] +
-                              (1.0 - options.gamma) * walked[u];
-                  }
-                });
-    double delta = DistanceL1(next, result.scores);
-    IMPREG_FAULT_POINT("pagerank/delta", delta);
-    result.iterations = iter;
-    // The L1 distance inherits any NaN/Inf in `next`, so this one scalar
-    // is the whole non-finite sentinel; the accepted scores are finite
-    // by induction (each survived this check before the swap).
-    if (!std::isfinite(delta)) {
-      result.diagnostics.status = SolveStatus::kNonFinite;
-      result.diagnostics.detail = "diffusion update went non-finite; "
-                                  "returning last finite iterate";
-      IMPREG_TRACE_EVENT(trace, iter, kRollback, delta);
-      break;
+  for (std::size_t j : solved) {
+    PageRankResult& result = results[j];
+    if (result.diagnostics.status == SolveStatus::kMaxIterations) {
+      result.diagnostics.detail =
+          "iteration cap hit; scores are the early-stopped diffusion";
     }
-    result.diagnostics.RecordResidual(delta);
-    IMPREG_TRACE_EVENT(trace, iter, kResidual, delta);
-    result.scores.swap(next);
-    if (delta <= options.tolerance) {
-      result.diagnostics.status = SolveStatus::kConverged;
-      break;
-    }
+    result.diagnostics.iterations = result.iterations;
+    IMPREG_TRACE_FINISH(traces[j], result.diagnostics);
+    IMPREG_METRIC_COUNT("solver.pagerank.richardson.solves", 1);
+    IMPREG_METRIC_COUNT("solver.pagerank.richardson.iterations",
+                        result.iterations);
   }
-  if (result.diagnostics.status == SolveStatus::kMaxIterations) {
-    result.diagnostics.detail =
-        "iteration cap hit; scores are the early-stopped diffusion";
-  }
-  result.diagnostics.iterations = result.iterations;
-  IMPREG_TRACE_FINISH(trace, result.diagnostics);
-  IMPREG_METRIC_COUNT("solver.pagerank.richardson.solves", 1);
-  IMPREG_METRIC_COUNT("solver.pagerank.richardson.iterations",
-                      result.iterations);
-  return result;
+  return results;
 }
 
 PageRankResult GlobalPageRank(const Graph& g, const PageRankOptions& options) {

@@ -1,7 +1,10 @@
 #ifndef IMPREG_DIFFUSION_PAGERANK_H_
 #define IMPREG_DIFFUSION_PAGERANK_H_
 
+#include <vector>
+
 #include "core/solve_status.h"
+#include "core/work_budget.h"
 #include "graph/graph.h"
 #include "linalg/vector_ops.h"
 
@@ -15,6 +18,12 @@
 /// keeps the diffusion aggressive ("more regularized toward the seed").
 /// The teleportation parameter γ here is the paper's γ (so the usual
 /// "damping factor" is 1−γ).
+///
+/// The library has one Richardson loop, PersonalizedPageRankBatch; the
+/// solo solve and the query engine's "ppr-dense" groups both run it.
+/// An early-stopped Richardson solve is itself the exact optimum of a
+/// regularized problem (Mahoney–Orecchia), so a served dense answer is
+/// checkable: it equals the library solve bit for bit.
 
 namespace impreg {
 
@@ -40,8 +49,26 @@ struct PageRankResult {
 /// Personalized PageRank: p = γ Σ_k (1−γ)^k M^k s via the Richardson
 /// iteration p ← γ s + (1−γ) M p. `seed` must be entrywise ≥ 0; its mass
 /// is preserved in the output when the graph has no isolated nodes.
+/// The k = 1 case of PersonalizedPageRankBatch.
 PageRankResult PersonalizedPageRank(const Graph& g, const Vector& seed,
                                     const PageRankOptions& options = {});
+
+/// k Personalized PageRank solves in lockstep: each Richardson step
+/// runs one RandomWalkOperator::ApplyBatch over the columns still
+/// iterating, so the adjacency is streamed once per step for the whole
+/// batch. Column j stops on its own (convergence, non-finite update,
+/// iteration cap) and is bit-identical to its solo solve — same
+/// iterates, same iteration count, same diagnostics, trace and counts.
+///
+/// `budgets` is empty or holds one entry per seed. A non-null
+/// budgets[j] is charged NumArcs() after each of column j's
+/// unconverged iterations; once it is exhausted column j stops with
+/// kBudgetExhausted and its last iterate, the early-stopped diffusion.
+/// The other columns are unaffected.
+std::vector<PageRankResult> PersonalizedPageRankBatch(
+    const Graph& g, std::vector<Vector> seeds,
+    const PageRankOptions& options = {},
+    const std::vector<WorkBudget*>& budgets = {});
 
 /// Global PageRank with the uniform seed s = 1/n.
 PageRankResult GlobalPageRank(const Graph& g,

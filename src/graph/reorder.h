@@ -16,24 +16,18 @@
 /// labels (BFS / reverse-Cuthill–McKee / degree-sort) turns those
 /// gathers into near-streams. Everything here is deterministic — the
 /// permutation is a pure function of the graph and the method, never of
-/// timing or thread count — and results map back through the inverse
-/// permutation *bit-identically*:
+/// timing or thread count — and kernel results map back through the
+/// inverse permutation *bit-identically*: `ApplyNodePermutation` keeps
+/// every row's original arc order (rows become unsorted; see
+/// Graph::RowsSorted), so a row's canonical reduction tree (simd.h)
+/// sums the same values in the same order under either labeling —
+/// SpMV/SpMM outputs are bitwise label-invariant.
 ///
-///  - `ApplyNodePermutation` keeps every row's original arc order (rows
-///    become unsorted; see Graph::RowsSorted), so a row's canonical
-///    reduction tree (simd.h) sums the same values in the same order
-///    under either labeling — SpMV/SpMM outputs are bitwise
-///    label-invariant.
-///  - Strongly-local solvers that scan nodes in ascending-id order seed
-///    their worklists through `ReorderedGraph::perm()` so the processing
-///    order is label-invariant too (see PushOptions::queue_seed_order).
-///  - Sparse solvers that iterate hash maps (hk-relax, Nibble) stay
-///    deterministic run-to-run but are *not* bitwise label-invariant;
-///    drivers that need bitwise equality sweep on the original graph.
-///
-/// The locality win is measured by `AvgNeighborLabelDistance` and
-/// exported through the metrics registry as
-/// `graph.reorder.locality.{original,reordered}`.
+/// The solvers and the query engine run in original labels; relabeling
+/// is kept for the kernel benchmark that measures it (see the
+/// relabeling section of docs/memory_layout.md for why). The locality
+/// win is measured by `AvgNeighborLabelDistance` and exported through
+/// the metrics registry as `graph.reorder.locality.{original,reordered}`.
 
 namespace impreg {
 
@@ -81,7 +75,7 @@ Graph ApplyNodePermutation(const Graph& g, const std::vector<NodeId>& perm);
 /// locality figure of merit a relabeling tries to shrink.
 double AvgNeighborLabelDistance(const Graph& g);
 
-/// A graph plus the permutation that produced it: solvers run on
+/// A graph plus the permutation that produced it: kernels run on
 /// `graph()`, callers see original labels via the mapping helpers.
 ///
 /// Construction computes the permutation, passes it through the
@@ -102,15 +96,12 @@ class ReorderedGraph {
   bool active() const { return active_; }
   ReorderMethod method() const { return method_; }
 
-  /// The graph solvers should run on: reordered when active, else the
+  /// The graph kernels should run on: reordered when active, else the
   /// original.
   const Graph& graph() const { return active_ ? reordered_ : *original_; }
   const Graph& original() const { return *original_; }
 
   /// old→new and new→old label maps (identity when inactive).
-  const std::vector<NodeId>& perm() const { return perm_; }
-  const std::vector<NodeId>& inverse() const { return inverse_; }
-
   NodeId ToReordered(NodeId u) const { return perm_[u]; }
   NodeId ToOriginal(NodeId u) const { return inverse_[u]; }
 
@@ -120,9 +111,6 @@ class ReorderedGraph {
 
   /// Gather back: out[u] = x[perm[u]]. Inverse of ToReorderedVector.
   std::vector<double> ToOriginalVector(const std::vector<double>& x) const;
-
-  /// Maps node ids back to original labels, preserving order.
-  std::vector<NodeId> ToOriginalNodes(const std::vector<NodeId>& nodes) const;
 
   /// kConverged when the permutation was applied (or identity was
   /// requested); kNonFinite when a corrupted permutation was rejected.

@@ -72,18 +72,11 @@ std::vector<NcpCluster> WalkFamilyClusters(const Graph& g,
   }
 
   // All seed columns walk together: each W_α step is one batched SpMM
-  // over the adjacency instead of |seeds| separate matvecs. With
-  // options.reorder set, the diffusion runs in relabeled coordinates
-  // (bitwise label-invariant) and each column maps back at its
-  // checkpoint; sweeps always see original labels.
-  const ReorderedGraph relabeled(g, options.reorder);
-  const Graph& host = relabeled.graph();
+  // over the adjacency instead of |seeds| separate matvecs.
   std::vector<Vector> cur;
   cur.reserve(seeds.size());
-  for (NodeId seed : seeds) {
-    cur.push_back(SingleNodeSeed(host, relabeled.ToReordered(seed)));
-  }
-  const LazyWalkOperator walk(host, options.alpha);
+  for (NodeId seed : seeds) cur.push_back(SingleNodeSeed(g, seed));
+  const LazyWalkOperator walk(g, options.alpha);
 
   std::vector<int> checkpoints = options.checkpoints;
   std::sort(checkpoints.begin(), checkpoints.end());
@@ -114,9 +107,7 @@ std::vector<NcpCluster> WalkFamilyClusters(const Graph& g,
     }
     SweepOptions sweep_options;
     sweep_options.scaling = SweepScaling::kDegreeNormalized;
-    for (std::size_t j = 0; j < cur.size(); ++j) {
-      const Vector column =
-          relabeled.active() ? relabeled.ToOriginalVector(cur[j]) : cur[j];
+    for (const Vector& column : cur) {
       const SweepResult sweep = SweepCutOverSupport(g, column, sweep_options);
       if (sweep.set.empty() ||
           static_cast<NodeId>(sweep.set.size()) >= g.NumNodes()) {

@@ -8,7 +8,6 @@
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "graph/graph.h"
-#include "graph/reorder.h"
 #include "partition/conductance.h"
 
 /// \file
@@ -84,12 +83,6 @@ struct WalkFamilyOptions {
   /// Optional cooperative budget (nullptr = unlimited), checked between
   /// checkpoints; the clusters from completed checkpoints are returned.
   WorkBudget* budget = nullptr;
-  /// Cache-aware relabeling for the batched diffusion: the walk runs on
-  /// the reordered graph, each column is mapped back at its checkpoint,
-  /// and the sweep runs on the original graph — the portfolio is
-  /// *bitwise* identical to the unreordered run (SpMM is
-  /// label-invariant; see graph/reorder.h).
-  ReorderMethod reorder = ReorderMethod::kIdentity;
 };
 
 /// Runs the lazy-walk-family portfolio: all seed columns are diffused

@@ -7,7 +7,6 @@
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "graph/graph.h"
-#include "graph/reorder.h"
 #include "linalg/vector_ops.h"
 #include "partition/sweep.h"
 
@@ -46,14 +45,6 @@ struct PushOptions {
   /// kBudgetExhausted and the partial (p, r) pair — still a valid
   /// approximate PPR decomposition, just with a looser residual.
   WorkBudget* budget = nullptr;
-  /// Scan order for the initial queue-seeding pass (must be a
-  /// permutation of [0, n) if set; nullptr = ascending node id). On a
-  /// relabeled graph, passing ReorderedGraph::perm() seeds the FIFO in
-  /// ascending *original*-label order, which together with
-  /// ApplyNodePermutation's arc-order preservation makes the whole push
-  /// sequence — and hence (p, r) — bitwise label-invariant. Must outlive
-  /// the call.
-  const std::vector<NodeId>* queue_seed_order = nullptr;
 };
 
 /// Result of a push computation.
@@ -80,17 +71,6 @@ struct PushResult {
 PushResult ApproximatePageRank(const Graph& g, const Vector& seed,
                                const PushOptions& options = {});
 
-/// Runs the push on a relabeled graph for cache locality and maps
-/// everything back: the seed is scattered into reordered labels, the
-/// queue is seeded in ascending original-label order (see
-/// PushOptions::queue_seed_order), and the returned (p, residual) and
-/// any on_push node ids are in *original* labels — bitwise identical to
-/// ApproximatePageRank(rg.original(), seed, options). An inactive
-/// wrapper (kIdentity or a rejected permutation) degrades to the plain
-/// overload.
-PushResult ApproximatePageRank(const ReorderedGraph& rg, const Vector& seed,
-                               const PushOptions& options = {});
-
 /// The standard-PageRank teleportation equivalent to lazy α:
 /// γ = 2α/(1+α).
 double StandardTeleportFromLazy(double alpha);
@@ -108,13 +88,6 @@ struct LocalClusterResult {
 };
 
 LocalClusterResult PushLocalCluster(const Graph& g, NodeId seed,
-                                    const PushOptions& options = {},
-                                    const SweepOptions& sweep = {});
-
-/// Local clustering with the diffusion on the relabeled graph and the
-/// sweep on the original one: bitwise identical to
-/// PushLocalCluster(rg.original(), seed, ...).
-LocalClusterResult PushLocalCluster(const ReorderedGraph& rg, NodeId seed,
                                     const PushOptions& options = {},
                                     const SweepOptions& sweep = {});
 

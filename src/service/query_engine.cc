@@ -11,7 +11,7 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/work_budget.h"
-#include "linalg/graph_operators.h"
+#include "diffusion/pagerank.h"
 #include "partition/hkrelax.h"
 #include "partition/nibble.h"
 #include "streaming/incremental_ppr.h"
@@ -248,20 +248,6 @@ const Graph& QueryEngine::Frozen(const DynamicGraph::SnapshotView& snap) {
   return *frozen_;
 }
 
-const ReorderedGraph* QueryEngine::FrozenReordered(
-    const DynamicGraph::SnapshotView& snap) {
-  if (options_.graph.reorder == ReorderMethod::kIdentity) return nullptr;
-  const Graph& frozen = Frozen(snap);
-  if (reordered_ == nullptr || reordered_epoch_ != snap.epoch()) {
-    // The wrapper holds a pointer into frozen_, so it is rebuilt in
-    // lockstep with the snapshot it relabels.
-    reordered_ = std::make_unique<ReorderedGraph>(frozen,
-                                                  options_.graph.reorder);
-    reordered_epoch_ = snap.epoch();
-  }
-  return reordered_.get();
-}
-
 void QueryEngine::ExecutePush(WorkItem& item,
                               const DynamicGraph::SnapshotView& snap) {
   const DynamicGraph& graph = snap.graph();
@@ -341,10 +327,8 @@ void QueryEngine::ExecutePush(WorkItem& item,
 
 void QueryEngine::ExecuteItem(WorkItem& item,
                               const DynamicGraph::SnapshotView& snap,
-                              const Graph* frozen,
-                              const ReorderedGraph* reordered) {
+                              const Graph* frozen) {
   IMPREG_METRIC_TIMER("service.query.latency_ns");
-  const bool relabeled = reordered != nullptr && reordered->active();
   const Query& q = item.query;
   switch (q.method) {
     case QueryMethod::kPprPush:
@@ -358,19 +342,8 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.delta = q.delta;
       opts.tail_tolerance = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      HkRelaxResult hk;
-      if (relabeled) {
-        // Runs on the relabeled snapshot and maps back: deterministic,
-        // but hk-relax iterates a hash map, so scores are not bitwise
-        // label-invariant (see graph/reorder.h).
-        hk = HeatKernelRelaxFromDistribution(
-            reordered->graph(), reordered->ToReorderedVector(item.seed),
-            opts);
-        hk.rho = reordered->ToOriginalVector(hk.rho);
-        hk.set = reordered->ToOriginalNodes(hk.set);
-      } else {
-        hk = HeatKernelRelaxFromDistribution(*frozen, item.seed, opts);
-      }
+      HkRelaxResult hk =
+          HeatKernelRelaxFromDistribution(*frozen, item.seed, opts);
       item.response.scores = std::move(hk.rho);
       item.response.set = std::move(hk.set);
       item.response.conductance = hk.stats.conductance;
@@ -388,16 +361,7 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.steps = q.steps;
       opts.epsilon = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      NibbleResult nib;
-      if (relabeled) {
-        nib = NibbleFromDistribution(
-            reordered->graph(), reordered->ToReorderedVector(item.seed),
-            opts);
-        nib.distribution = reordered->ToOriginalVector(nib.distribution);
-        nib.set = reordered->ToOriginalNodes(nib.set);
-      } else {
-        nib = NibbleFromDistribution(*frozen, item.seed, opts);
-      }
+      NibbleResult nib = NibbleFromDistribution(*frozen, item.seed, opts);
       item.response.scores = std::move(nib.distribution);
       item.response.set = std::move(nib.set);
       item.response.conductance = nib.stats.conductance;
@@ -419,126 +383,39 @@ void QueryEngine::ExecuteItem(WorkItem& item,
 }
 
 void QueryEngine::RunDenseGroup(const Graph& frozen,
-                                const ReorderedGraph* reordered,
                                 std::vector<WorkItem*>& group) {
   IMPREG_METRIC_TIMER("service.dense_group.latency_ns");
   // All group members share (γ, tolerance, max_iterations) by
   // construction; budgets stay per-item.
   const Query& shared = group.front()->query;
-  const double gamma = shared.gamma;
-  // With relabeling, the whole Richardson iteration runs in reordered
-  // labels and stays *bitwise* equal to the unreordered solve: SpMM is
-  // label-invariant (arc-order-preserving rows, see graph/reorder.h),
-  // the elementwise update is positionwise, and the convergence norm is
-  // summed in original-label order via DistanceL1Permuted — so iteration
-  // counts and every iterate match; only the storage order differs until
-  // scores are mapped back.
-  const bool relabeled = reordered != nullptr && reordered->active();
-  const Graph& host = relabeled ? reordered->graph() : frozen;
-  const RandomWalkOperator walk(host);
-  const NodeId n = host.NumNodes();
-  const std::int64_t arcs_per_iter = host.NumArcs();
+  PageRankOptions options;
+  options.gamma = shared.gamma;
+  options.tolerance = shared.tolerance;
+  options.max_iterations = shared.max_iterations;
+  std::vector<Vector> seeds;
+  std::vector<WorkBudget> budgets;
+  std::vector<WorkBudget*> budget_ptrs;
+  seeds.reserve(group.size());
+  budgets.reserve(group.size());
+  for (WorkItem* item : group) {
+    seeds.push_back(std::move(item->seed));
+    budgets.emplace_back(item->query.max_work);
+    budget_ptrs.push_back(item->query.max_work > 0 ? &budgets.back()
+                                                   : nullptr);
+  }
+  std::vector<PageRankResult> solved =
+      PersonalizedPageRankBatch(frozen, std::move(seeds), options, budget_ptrs);
 
-  struct DenseState {
-    WorkItem* item = nullptr;
-    Vector seed;
-    Vector scores;
-    Vector next;
-    WorkBudget budget;
-    SolverDiagnostics diag;
-    int iterations = 0;
-    bool active = true;
-  };
-  std::vector<DenseState> states(group.size());
+  const std::int64_t arcs_per_iter =
+      std::max<std::int64_t>(frozen.NumArcs(), 1);
   for (std::size_t j = 0; j < group.size(); ++j) {
-    DenseState& st = states[j];
-    st.item = group[j];
-    // Mirrors PersonalizedPageRank's Richardson setup exactly so each
-    // column stays bit-identical to its solo solve.
-    st.seed = relabeled ? reordered->ToReorderedVector(st.item->seed)
-                        : st.item->seed;
-    st.scores = st.seed;
-    Scale(gamma, st.scores);
-    st.budget = WorkBudget(st.item->query.max_work);
-  }
-
-  std::size_t active_count = states.size();
-  std::vector<Vector> xs;
-  std::vector<Vector> ys;
-  std::vector<std::size_t> active_idx;
-  for (int iter = 1; iter <= shared.max_iterations && active_count > 0;
-       ++iter) {
-    // Gather the active columns (group order — deterministic) and run
-    // one SpMM for all of them: this is the PR2 ApplyBatch path, one
-    // adjacency traversal per step for the whole group.
-    active_idx.clear();
-    xs.clear();
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      if (!states[j].active) continue;
-      active_idx.push_back(j);
-      xs.push_back(std::move(states[j].scores));
-    }
-    walk.ApplyBatch(xs, ys);
-    for (std::size_t k = 0; k < active_idx.size(); ++k) {
-      DenseState& st = states[active_idx[k]];
-      st.scores = std::move(xs[k]);
-      const Vector& walked = ys[k];
-      const Vector& seed = st.seed;
-      st.next.resize(n);
-      Vector& next = st.next;
-      ParallelFor(0, n, 1 << 14,
-                  [&](std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t u = begin; u < end; ++u) {
-                      next[u] = gamma * seed[u] +
-                                (1.0 - gamma) * walked[u];
-                    }
-                  });
-      const double delta =
-          relabeled ? DistanceL1Permuted(next, st.scores, reordered->perm())
-                    : DistanceL1(next, st.scores);
-      st.iterations = iter;
-      if (!std::isfinite(delta)) {
-        st.diag.status = SolveStatus::kNonFinite;
-        st.diag.detail = "diffusion update went non-finite; "
-                         "returning last finite iterate";
-        st.active = false;
-        --active_count;
-        continue;
-      }
-      st.diag.RecordResidual(delta);
-      st.scores.swap(st.next);
-      if (delta <= shared.tolerance) {
-        st.diag.status = SolveStatus::kConverged;
-        st.active = false;
-        --active_count;
-        continue;
-      }
-      if (st.item->query.max_work > 0) {
-        st.budget.Charge(arcs_per_iter);
-        if (st.budget.Exhausted()) {
-          st.diag.status = SolveStatus::kBudgetExhausted;
-          st.diag.detail = "work budget exhausted; scores are the "
-                           "early-stopped diffusion";
-          st.active = false;
-          --active_count;
-        }
-      }
-    }
-  }
-
-  for (DenseState& st : states) {
-    st.diag.iterations = st.iterations;
-    if (st.diag.status == SolveStatus::kMaxIterations) {
-      st.diag.detail =
-          "iteration cap hit; scores are the early-stopped diffusion";
-    }
-    WorkItem& item = *st.item;
-    item.response.scores = relabeled ? reordered->ToOriginalVector(st.scores)
-                                     : std::move(st.scores);
-    item.response.work = static_cast<std::int64_t>(st.iterations) *
-                         std::max<std::int64_t>(arcs_per_iter, 1);
-    item.response.status = st.diag.status;
-    item.response.detail = st.diag.detail;
+    WorkItem& item = *group[j];
+    PageRankResult& pr = solved[j];
+    item.response.scores = std::move(pr.scores);
+    item.response.work =
+        static_cast<std::int64_t>(pr.iterations) * arcs_per_iter;
+    item.response.status = pr.diagnostics.status;
+    item.response.detail = std::move(pr.diagnostics.detail);
     item.response.source = QuerySource::kCold;
     item.response.degraded =
         item.response.status != SolveStatus::kConverged;
@@ -679,11 +556,10 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     }
   }
   const Graph* frozen = needs_frozen ? &Frozen(snap) : nullptr;
-  const ReorderedGraph* reordered =
-      needs_frozen ? FrozenReordered(snap) : nullptr;
 
-  // Phase 3a (grouped): compatible dense solves in lockstep through
-  // ApplyBatch. std::map keys the groups deterministically.
+  // Phase 3a (grouped): compatible dense solves, one
+  // PersonalizedPageRankBatch call per group. std::map keys the groups
+  // deterministically.
   std::map<std::string, std::vector<WorkItem*>> dense_groups;
   for (auto& owned : items) {
     if (owned->done || owned->query.method != QueryMethod::kPprDense) {
@@ -696,7 +572,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
         .push_back(owned.get());
   }
   for (auto& entry : dense_groups) {
-    RunDenseGroup(*frozen, reordered, entry.second);
+    RunDenseGroup(*frozen, entry.second);
   }
 
   // Phase 3b (parallel): everything else, one item per task. Each
@@ -709,7 +585,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
   ParallelFor(0, static_cast<std::int64_t>(pending.size()), 1,
               [&](std::int64_t begin, std::int64_t end) {
                 for (std::int64_t i = begin; i < end; ++i) {
-                  ExecuteItem(*pending[i], snap, frozen, reordered);
+                  ExecuteItem(*pending[i], snap, frozen);
                 }
               });
 

@@ -11,7 +11,6 @@
 #include "core/budget_pool.h"
 #include "core/solve_status.h"
 #include "graph/graph.h"
-#include "graph/reorder.h"
 #include "linalg/vector_ops.h"
 #include "service/result_cache.h"
 #include "streaming/dynamic_graph.h"
@@ -29,10 +28,15 @@
 ///  - independent queries execute through the deterministic ParallelFor
 ///    pool (each inner solver is single-threaded there, so answers are
 ///    bit-identical at any thread count);
-///  - compatible dense diffusion solves (method "ppr-dense") are grouped
-///    and driven in lockstep through LinearOperator::ApplyBatch — one
-///    adjacency traversal per Richardson step for the whole group, each
-///    column bit-identical to its solo solve;
+///  - each method runs through exactly one library entry point, on the
+///    graph's original labels: StandardFormPush ("ppr"),
+///    PersonalizedPageRankBatch ("ppr-dense"),
+///    HeatKernelRelaxFromDistribution ("heat-kernel") and
+///    NibbleFromDistribution ("nibble");
+///  - compatible dense solves (same γ, tolerance and iteration cap) are
+///    grouped into one PersonalizedPageRankBatch call — one adjacency
+///    traversal per Richardson step for the whole group, each column
+///    bit-identical to its solo PersonalizedPageRank;
 ///  - results land in a deterministic FIFO ResultCache keyed by
 ///    (method, parameters, seed fingerprint) — epochs are per-entry
 ///    validity state, not key material, so an edit that misses an
@@ -60,7 +64,7 @@ namespace impreg {
 /// Which diffusion answers the query.
 enum class QueryMethod {
   kPprPush,     ///< Standard-form signed-residual push (warm-restartable).
-  kPprDense,    ///< Dense Richardson PPR, grouped through ApplyBatch.
+  kPprDense,    ///< Dense Richardson PPR, grouped into one batch solve.
   kHeatKernel,  ///< hk-relax + sweep (community query).
   kNibble,      ///< Truncated lazy walk + sweep (community query).
 };
@@ -156,19 +160,6 @@ class QueryEngine {
     /// the invalidate-the-world baseline (every edit retires every
     /// exact entry) — kept for the cache-retention benchmark.
     bool surgical_invalidation = true;
-    /// Cache-aware relabeling of the frozen CSR snapshot the
-    /// dense/heat-kernel/nibble solvers run on. Dense answers map back
-    /// *bitwise* (ApplyBatch is label-invariant and convergence is
-    /// measured in original-label order via DistanceL1Permuted — same
-    /// iterates, same iteration counts); hk-relax and nibble stay
-    /// deterministic run-to-run but are not bitwise label-invariant
-    /// (they iterate hash maps — see graph/reorder.h). Push queries run
-    /// on the unreordered dynamic graph either way. A corrupted
-    /// permutation is rejected at build time and the engine serves the
-    /// original labeling (ReorderedGraph validation).
-    struct GraphOptions {
-      ReorderMethod reorder = ReorderMethod::kIdentity;
-    } graph;
     /// Per-tenant admission control (off by default: every query is
     /// admitted exact and no ledgers are kept).
     struct AdmissionControl {
@@ -302,16 +293,10 @@ class QueryEngine {
   /// dense/heat-kernel/nibble paths.
   const Graph& Frozen(const DynamicGraph::SnapshotView& snap);
 
-  /// The relabeled view of Frozen() (epoch-tracked alongside it), or
-  /// nullptr when options.graph.reorder == kIdentity. Must be called
-  /// from the sequential phases only — it rebuilds lazily.
-  const ReorderedGraph* FrozenReordered(const DynamicGraph::SnapshotView& snap);
-
   void ExecuteItem(WorkItem& item, const DynamicGraph::SnapshotView& snap,
-                   const Graph* frozen, const ReorderedGraph* reordered);
+                   const Graph* frozen);
   void ExecutePush(WorkItem& item, const DynamicGraph::SnapshotView& snap);
-  void RunDenseGroup(const Graph& frozen, const ReorderedGraph* reordered,
-                     std::vector<WorkItem*>& group);
+  void RunDenseGroup(const Graph& frozen, std::vector<WorkItem*>& group);
 
   Options options_;
   DynamicGraph graph_;
@@ -320,8 +305,6 @@ class QueryEngine {
   TenantBudgetPool pool_;
   std::unique_ptr<Graph> frozen_;
   std::int64_t frozen_epoch_ = -1;
-  std::unique_ptr<ReorderedGraph> reordered_;
-  std::int64_t reordered_epoch_ = -1;
   /// The last kEditJournalCapacity edits, oldest first (consecutive
   /// epochs). A stale-snapshot insert whose missed window outgrew the
   /// journal is conservatively demoted to warm-only.

@@ -448,8 +448,9 @@ TEST(DeterminismTest, ObservabilityOnAndOffAreBitIdentical) {
 #endif  // IMPREG_OBSERVABILITY
 
 TEST(DeterminismTest, QueryEngineBatchIsThreadCountInvariantWithCacheOnAndOff) {
-  // A mixed batch — push (duplicated, so dedup kicks in), two grouped
-  // dense solves, a heat-kernel query and a nibble query — answered
+  // A mixed batch — push (duplicated, so dedup kicks in), three grouped
+  // dense solves (one stopped early by its own work budget), a
+  // heat-kernel query and a nibble query — answered
   // before and after an edge insertion, then again after the edge is
   // removed (the surgical-invalidation delete path). With the cache
   // on, the later batches exercise the warm-restart and
@@ -470,6 +471,9 @@ TEST(DeterminismTest, QueryEngineBatchIsThreadCountInvariantWithCacheOnAndOff) {
   dense.max_iterations = 300;
   batch.push_back(dense);
   dense.seeds = {40};  // Same (γ, tol, iters) → same ApplyBatch group.
+  batch.push_back(dense);
+  dense.seeds = {77};
+  dense.max_work = 5000;  // A few iterations: only this column stops early.
   batch.push_back(dense);
   Query hk;
   hk.method = QueryMethod::kHeatKernel;
@@ -506,6 +510,32 @@ TEST(DeterminismTest, QueryEngineBatchIsThreadCountInvariantWithCacheOnAndOff) {
       absorb(engine.RunBatch(batch));
       return out;
     });
+  }
+}
+
+TEST(DeterminismTest, WalkFamilyPortfolioIsThreadCountInvariant) {
+  // The walk family diffuses all seed columns through one batched SpMM
+  // per step and sweeps each column at every checkpoint: the clusters,
+  // their provenance and their conductance bits must not depend on the
+  // thread count.
+  const Graph g = CavemanGraph(10, 10);
+  WalkFamilyOptions options;
+  options.num_seeds = 6;
+  options.checkpoints = {2, 8, 32};
+  std::vector<NcpCluster> serial;
+  {
+    const ScopedNumThreads threads(1);
+    serial = WalkFamilyClusters(g, options);
+  }
+  ASSERT_FALSE(serial.empty());
+  const ScopedNumThreads threads(8);
+  const std::vector<NcpCluster> parallel = WalkFamilyClusters(g, options);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel[i].nodes, serial[i].nodes);
+    EXPECT_EQ(parallel[i].method, serial[i].method);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel[i].stats.conductance),
+              std::bit_cast<std::uint64_t>(serial[i].stats.conductance));
   }
 }
 

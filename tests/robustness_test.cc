@@ -75,6 +75,15 @@ struct Scenario {
   std::function<Outcome()> run;
 };
 
+void ExpectBitIdentical(const Vector& a, const Vector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "index " << i;
+  }
+}
+
 bool Owns(const Scenario& scenario, const std::string& site) {
   for (const char* prefix : scenario.prefixes) {
     if (site.rfind(prefix, 0) == 0) return true;
@@ -355,13 +364,15 @@ std::vector<Scenario> AllScenarios() {
 
   scenarios.push_back({"reorder", {"graph/reorder"}, [] {
     // A corrupted relabeling permutation must be rejected at build time
-    // (identity fallback), never applied: the push still runs, on the
-    // original labeling, and stays finite.
+    // (identity fallback), never applied: a walk step on the wrapper's
+    // graph, mapped back to original labels, still runs and stays
+    // finite.
     const Graph g = CavemanGraph(4, 8);
     const ReorderedGraph rg(g, ReorderMethod::kRcm);
-    const PushResult r = ApproximatePageRank(rg, SingleNodeSeed(g, 0));
-    return Outcome{rg.diagnostics().status,
-                   AllFinite(r.p) && AllFinite(r.residual)};
+    const RandomWalkOperator walk(rg.graph());
+    const Vector y = rg.ToOriginalVector(
+        walk.Apply(rg.ToReorderedVector(SingleNodeSeed(g, 0))));
+    return Outcome{rg.diagnostics().status, AllFinite(y)};
   }});
 
   return scenarios;
@@ -465,13 +476,51 @@ TEST(RobustnessTest, PoisonedCacheInsertIsRejectedAndNeverServed) {
   EXPECT_EQ(engine.cache().Size(), 1u);
 }
 
+TEST(RobustnessTest, PoisonedDenseColumnIsContainedAndNeverCached) {
+  if (!fault::Compiled()) {
+    GTEST_SKIP() << "fault harness not compiled (IMPREG_FAULT_INJECTION=OFF)";
+  }
+  const Graph g = CavemanGraph(4, 8);
+  Query a;
+  a.method = QueryMethod::kPprDense;
+  a.seeds = {0};
+  a.tolerance = 1e-10;
+  Query b = a;
+  b.seeds = {17};  // Same lockstep group as a.
+  QueryEngine clean(g);
+  const std::vector<QueryResponse> expected = clean.RunBatch({a, b});
+
+  // Hit 1 of the walk site is column a's first step, hit 2 column b's.
+  QueryEngine engine(g);
+  fault::Arm("pagerank/walked", fault::FaultKind::kNaN, 2);
+  const std::vector<QueryResponse> served = engine.RunBatch({a, b});
+  EXPECT_EQ(fault::InjectionCount(), 1) << "walk site never fired";
+  fault::Disarm();
+
+  // The poisoned column is marked and keeps its last finite iterate;
+  // its neighbour in the group never sees the poison.
+  EXPECT_EQ(served[1].status, SolveStatus::kNonFinite);
+  EXPECT_TRUE(served[1].degraded);
+  EXPECT_TRUE(AllFinite(served[1].scores));
+  EXPECT_EQ(served[0].status, expected[0].status);
+  EXPECT_EQ(served[0].work, expected[0].work);
+  ExpectBitIdentical(served[0].scores, expected[0].scores);
+
+  // Only the clean column was cached, so b solves again from scratch.
+  EXPECT_EQ(engine.cache().Size(), 1u);
+  const QueryResponse again = engine.Run(b);
+  EXPECT_EQ(again.source, QuerySource::kCold);
+  EXPECT_EQ(again.status, expected[1].status);
+  ExpectBitIdentical(again.scores, expected[1].scores);
+}
+
 TEST(RobustnessTest, CorruptedPermutationIsRejectedNotServed) {
   if (!fault::Compiled()) {
     GTEST_SKIP() << "fault harness not compiled (IMPREG_FAULT_INJECTION=OFF)";
   }
   const Graph g = CavemanGraph(4, 8);
   const Vector seed = SingleNodeSeed(g, 3);
-  const PushResult expected = ApproximatePageRank(g, seed);
+  const Vector expected = RandomWalkOperator(g).Apply(seed);
 
   fault::Arm("graph/reorder_permutation", fault::FaultKind::kNaN);
   const ReorderedGraph rg(g, ReorderMethod::kRcm);
@@ -488,17 +537,12 @@ TEST(RobustnessTest, CorruptedPermutationIsRejectedNotServed) {
     EXPECT_EQ(rg.ToOriginal(u), u);
   }
 
-  // Serving through the rejected wrapper reproduces the plain answer
+  // Computing through the rejected wrapper reproduces the plain answer
   // bitwise — the fallback is the original computation, not a degraded
   // variant.
-  const PushResult served = ApproximatePageRank(rg, seed);
-  ASSERT_EQ(served.p.size(), expected.p.size());
-  for (std::size_t i = 0; i < served.p.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(served.p[i]),
-              std::bit_cast<std::uint64_t>(expected.p[i]));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(served.residual[i]),
-              std::bit_cast<std::uint64_t>(expected.residual[i]));
-  }
+  const Vector served = rg.ToOriginalVector(
+      RandomWalkOperator(rg.graph()).Apply(rg.ToReorderedVector(seed)));
+  ExpectBitIdentical(served, expected);
 
   // A clean rebuild succeeds and reorders for real.
   const ReorderedGraph clean(g, ReorderMethod::kRcm);

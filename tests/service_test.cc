@@ -462,6 +462,53 @@ TEST(QueryEngineTest, DensePprMatchesPersonalizedPageRankBitwise) {
   }
 }
 
+TEST(QueryEngineTest, DenseBudgetStopsOnlyItsOwnColumn) {
+  const Graph frozen = RoundTripped(ServiceGraph());
+  const std::int64_t arcs = frozen.NumArcs();
+  QueryEngine engine(ServiceGraph());
+  Query capped;
+  capped.method = QueryMethod::kPprDense;
+  capped.seeds = {3};
+  capped.tolerance = 1e-10;
+  capped.max_iterations = 500;
+  capped.max_work = 3 * arcs;  // Runs out after the third iteration.
+  Query uncapped = capped;
+  uncapped.seeds = {41};  // Same lockstep group, no cap.
+  uncapped.max_work = 0;
+  const std::vector<QueryResponse> responses =
+      engine.RunBatch({capped, uncapped});
+  ASSERT_EQ(responses.size(), 2u);
+
+  // The capped column is the early-stopped diffusion after three steps:
+  // exactly a solo solve with a three-iteration cap.
+  Vector seed3(frozen.NumNodes(), 0.0);
+  seed3[3] = 1.0;
+  PageRankOptions three;
+  three.gamma = capped.gamma;
+  three.tolerance = capped.tolerance;
+  three.max_iterations = 3;
+  const PageRankResult early = PersonalizedPageRank(frozen, seed3, three);
+  EXPECT_EQ(responses[0].status, SolveStatus::kBudgetExhausted);
+  EXPECT_TRUE(responses[0].degraded);
+  EXPECT_FALSE(responses[0].detail.empty());
+  EXPECT_EQ(responses[0].work, 3 * arcs);
+  EXPECT_EQ(responses[0].scores, early.scores);
+
+  // The uncapped column runs on, unaffected, to its own convergence.
+  Vector seed41(frozen.NumNodes(), 0.0);
+  seed41[41] = 1.0;
+  PageRankOptions reference;
+  reference.gamma = uncapped.gamma;
+  reference.tolerance = uncapped.tolerance;
+  reference.max_iterations = uncapped.max_iterations;
+  const PageRankResult solo = PersonalizedPageRank(frozen, seed41, reference);
+  ASSERT_GT(solo.iterations, 3);
+  EXPECT_EQ(responses[1].status, solo.diagnostics.status);
+  EXPECT_FALSE(responses[1].degraded);
+  EXPECT_EQ(responses[1].work, solo.iterations * arcs);
+  EXPECT_EQ(responses[1].scores, solo.scores);
+}
+
 TEST(QueryEngineTest, HeatKernelAndNibbleQueriesMatchDirectCalls) {
   const Graph frozen = RoundTripped(ServiceGraph());
   QueryEngine engine(ServiceGraph());
