@@ -50,30 +50,6 @@ void SetGraphCounters(benchmark::State& state, const Graph& g,
   SetReportCounters(state, g.NumNodes(), g.NumEdges(), threads);
 }
 
-void BM_NormalizedLaplacianMatvec(benchmark::State& state) {
-  const Graph& g = BenchGraph(state.range(0));
-  const NormalizedLaplacianOperator lap(g);
-  Rng rng(1);
-  Vector x(g.NumNodes());
-  for (double& v : x) v = rng.NextGaussian();
-  Vector y(g.NumNodes());
-  for (auto _ : state) {
-    lap.Apply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumArcs());
-  SetGraphCounters(state, g);
-}
-BENCHMARK(BM_NormalizedLaplacianMatvec)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 17);
-
-// —— SIMD-dispatch and relabeling sweeps ——
-// Scalar-vs-vector pins the dispatch cost model: the two paths are
-// bit-identical (tests/determinism_test.cc), so whichever is faster on
-// a given machine is always safe to serve. Original-vs-reordered
-// isolates the gather-locality win of RCM relabeling at the 2^17
-// acceptance size; `locality` counters carry AvgNeighborLabelDistance
-// into the JSON report.
-
 void MatvecBody(benchmark::State& state, const Graph& g) {
   const NormalizedLaplacianOperator lap(g);
   Rng rng(1);
@@ -88,6 +64,16 @@ void MatvecBody(benchmark::State& state, const Graph& g) {
   SetGraphCounters(state, g);
 }
 
+void BM_NormalizedLaplacianMatvec(benchmark::State& state) {
+  MatvecBody(state, BenchGraph(state.range(0)));
+}
+BENCHMARK(BM_NormalizedLaplacianMatvec)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 17);
+
+// —— SIMD-dispatch sweeps ——
+// Scalar-vs-vector pins the dispatch cost model: the two paths are
+// bit-identical (tests/determinism_test.cc), so whichever is faster on
+// a given machine is always safe to serve.
+
 void BM_NormalizedLaplacianMatvecScalar(benchmark::State& state) {
   const simd::ScopedSimdLevel forced(simd::SimdLevel::kScalar);
   MatvecBody(state, BenchGraph(state.range(0)));
@@ -101,37 +87,6 @@ void BM_NormalizedLaplacianMatvecSimd(benchmark::State& state) {
   MatvecBody(state, BenchGraph(state.range(0)));
 }
 BENCHMARK(BM_NormalizedLaplacianMatvecSimd)->Arg(1 << 17);
-
-const ReorderedGraph& BenchReorderedGraph(std::int64_t n) {
-  static std::map<std::int64_t, ReorderedGraph>* cache =
-      new std::map<std::int64_t, ReorderedGraph>();
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    it = cache->emplace(n, ReorderedGraph(BenchGraph(n), ReorderMethod::kRcm))
-             .first;
-  }
-  return it->second;
-}
-
-void BM_NormalizedLaplacianMatvecReordered(benchmark::State& state) {
-  const ReorderedGraph& rg = BenchReorderedGraph(state.range(0));
-  MatvecBody(state, rg.graph());
-  state.counters["locality_original"] = rg.locality_original();
-  state.counters["locality_reordered"] = rg.locality_reordered();
-}
-BENCHMARK(BM_NormalizedLaplacianMatvecReordered)->Arg(1 << 17);
-
-// One-time relabeling cost (permutation + row copy), amortized over
-// every subsequent matvec on the reordered graph.
-void BM_RcmReorderBuild(benchmark::State& state) {
-  const Graph& g = BenchGraph(state.range(0));
-  for (auto _ : state) {
-    const ReorderedGraph rg(g, ReorderMethod::kRcm);
-    benchmark::DoNotOptimize(rg.graph().NumNodes());
-  }
-  SetGraphCounters(state, g);
-}
-BENCHMARK(BM_RcmReorderBuild)->Arg(1 << 17);
 
 void BM_SpMMBatchScalar(benchmark::State& state) {
   const simd::ScopedSimdLevel forced(simd::SimdLevel::kScalar);

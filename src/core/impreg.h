@@ -41,7 +41,6 @@
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "graph/random_graphs.h"
-#include "graph/reorder.h"
 #include "graph/social.h"
 #include "graph/structure.h"
 #include "linalg/cg.h"

@@ -9,13 +9,6 @@ namespace impreg {
 double Graph::EdgeWeight(NodeId u, NodeId v) const {
   IMPREG_DCHECK(IsValidNode(u) && IsValidNode(v));
   const auto heads = Heads(u);
-  if (!rows_sorted_) {
-    // Relabeled rows keep their pre-permutation arc order; scan.
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i] == v) return weights_[offsets_[u] + i];
-    }
-    return 0.0;
-  }
   auto it = std::lower_bound(heads.begin(), heads.end(), v);
   if (it != heads.end() && *it == v) {
     return weights_[offsets_[u] + (it - heads.begin())];
@@ -62,7 +55,10 @@ Graph GraphBuilder::Build() const {
 
   // Sort each adjacency list and merge parallel edges in place. Rows are
   // gathered into an (head, weight) scratch row so the sort permutes
-  // both arrays consistently, then written back compacted.
+  // both arrays consistently, then written back compacted. The sort is
+  // stable: both rows of an edge received its parallel copies in
+  // edge-list order, so both sum them in that order and the mirrored
+  // arcs carry bitwise-equal weights.
   ArcIndex write = 0;
   std::vector<ArcIndex> new_offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<Arc> row;
@@ -74,8 +70,9 @@ Graph GraphBuilder::Build() const {
     for (ArcIndex i = begin; i < end; ++i) {
       row.push_back({g.heads_[i], g.weights_[i]});
     }
-    std::sort(row.begin(), row.end(),
-              [](const Arc& a, const Arc& b) { return a.head < b.head; });
+    std::stable_sort(row.begin(), row.end(), [](const Arc& a, const Arc& b) {
+      return a.head < b.head;
+    });
     new_offsets[u] = write;
     for (std::size_t i = 0; i < row.size();) {
       Arc merged = row[i];

@@ -49,13 +49,6 @@ class GraphBuilder;
 ///    equal weight; a self-loop {u,u} appears as a single arc u→u;
 ///  - all weights are strictly positive.
 ///
-/// One exception to the first invariant: `ApplyNodePermutation`
-/// (graph/reorder.h) relabels nodes while keeping every row's *original*
-/// arc order — that is what makes per-row reduction trees bitwise
-/// label-invariant — so its output has `RowsSorted() == false` and
-/// `EdgeWeight`/`HasEdge` fall back to a linear row scan. No kernel in
-/// src/ other than EdgeWeight relies on sorted rows.
-///
 /// Degree conventions follow the paper: the weighted degree d(u) counts a
 /// self-loop's weight once, the volume of a node set is the sum of its
 /// weighted degrees, and `TotalVolume()` = Σ_u d(u).
@@ -78,8 +71,8 @@ class Graph {
   /// Number of stored arcs (2m minus the number of self-loops).
   ArcIndex NumArcs() const { return static_cast<ArcIndex>(heads_.size()); }
 
-  /// Neighbor ids of `u`, sorted ascending (see RowsSorted()). Unit-stride
-  /// int32 stream, aligned with `Weights(u)`.
+  /// Neighbor ids of `u`, sorted ascending. Unit-stride int32 stream,
+  /// aligned with `Weights(u)`.
   std::span<const NodeId> Heads(NodeId u) const {
     return {heads_.data() + offsets_[u],
             static_cast<std::size_t>(offsets_[u + 1] - offsets_[u])};
@@ -110,8 +103,7 @@ class Graph {
   /// total self-loop weight.
   double TotalVolume() const { return total_volume_; }
 
-  /// Returns the weight of edge {u, v}, or 0 if absent. O(log deg(u))
-  /// when rows are sorted (builder output), O(deg(u)) otherwise.
+  /// Returns the weight of edge {u, v}, or 0 if absent. O(log deg(u)).
   double EdgeWeight(NodeId u, NodeId v) const;
 
   /// True if {u, v} is an edge. Same complexity as EdgeWeight.
@@ -123,16 +115,9 @@ class Graph {
   /// The weighted-degree vector as a dense array of length n.
   const std::vector<double>& Degrees() const { return degrees_; }
 
-  /// True when every adjacency list is sorted by head (all builder
-  /// output); false for relabeled graphs from ApplyNodePermutation,
-  /// whose rows keep their pre-permutation arc order.
-  bool RowsSorted() const { return rows_sorted_; }
-
  private:
   friend class DynamicGraph;  // ToGraph fills the arrays Build() would.
   friend class GraphBuilder;
-  friend Graph ApplyNodePermutation(const Graph& g,
-                                    const std::vector<NodeId>& perm);
 
   std::vector<ArcIndex> offsets_ = {0};  ///< Size n+1.
   std::vector<NodeId> heads_;            ///< Arc heads, 4 bytes/arc.
@@ -140,7 +125,6 @@ class Graph {
   std::vector<double> degrees_;
   std::int64_t num_edges_ = 0;
   double total_volume_ = 0.0;
-  bool rows_sorted_ = true;
 };
 
 /// Accumulates undirected edges, then freezes them into a Graph.

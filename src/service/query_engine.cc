@@ -161,11 +161,8 @@ QueryEngine::QueryEngine(const DynamicGraph& initial, const Options& options)
 
 void QueryEngine::FinishEdit(NodeId u, NodeId v) {
   ++epoch_;
-  // The edit retired epoch_ - 1: entries stamped with it stop being
-  // current-epoch answers (O(1) accounting from the per-epoch counts).
-  // The surgical pass below then decides, per entry, whether the edit
-  // actually touches its read region — only those evict or demote.
-  cache_.NoteEpochBump(epoch_ - 1);
+  // The surgical pass decides, per entry, whether the edit actually
+  // touches its read region — only those evict or demote.
   if (options_.surgical_invalidation) {
     cache_.InvalidateRegion(u, v);
   } else {
@@ -602,10 +599,8 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       cached.work = item.response.work;
       cached.status = item.response.status;
       cached.detail = item.response.detail;
-      // Epoch-stamped unconditionally: the stamp drives the
-      // invalidation accounting at the next edit (NoteEpochBump), and
-      // it records the epoch the answer is exact at — older pinned
-      // snapshots never see it.
+      // Epoch-stamped unconditionally: the stamp records the epoch the
+      // answer is exact at — older pinned snapshots never see it.
       cached.epoch = snap.epoch();
       cached.region = item.region;
       if (item.has_state) {

@@ -283,9 +283,8 @@ class QueryEngine {
   };
   static constexpr std::size_t kEditJournalCapacity = 4096;
 
-  /// Shared edit tail: bump the epoch, retire the old epoch's
-  /// accounting, invalidate surgically (or wholesale, per options),
-  /// and journal the edit.
+  /// Shared edit tail: bump the epoch, invalidate surgically (or
+  /// wholesale, per options), and journal the edit.
   void FinishEdit(NodeId u, NodeId v);
 
   /// The frozen CSR snapshot of the batch's pinned epoch (rebuilt

@@ -106,28 +106,9 @@ void ResultCache::RemoveFromRegionIndex(Entry* e) {
   }
 }
 
-void ResultCache::AccountInsert(const CachedResult& result) {
-  EpochCounts& bucket = epoch_counts_[result.epoch];
-  ++bucket.entries;
-  if (result.has_state) ++bucket.state_bearing;
-  if (!result.warm_only) ++exact_entries_;
-}
-
-void ResultCache::AccountErase(const CachedResult& result) {
-  const auto it = epoch_counts_.find(result.epoch);
-  if (it != epoch_counts_.end()) {
-    // A missing bucket means NoteEpochBump already retired this epoch
-    // and consumed its count — nothing left to maintain.
-    --it->second.entries;
-    if (result.has_state) --it->second.state_bearing;
-    if (it->second.entries == 0) epoch_counts_.erase(it);
-  }
-  if (!result.warm_only) --exact_entries_;
-}
-
 void ResultCache::EraseEntry(EntryList::iterator entry) {
   RemoveFromRegionIndex(&*entry);
-  AccountErase(entry->result);
+  if (!entry->result.warm_only) --exact_entries_;
   index_.erase(entry->key);
   const auto warm = warm_index_.find(entry->warm_key);
   if (warm != warm_index_.end() && warm->second == entry) {
@@ -161,14 +142,14 @@ bool ResultCache::Insert(const std::string& key, const std::string& warm_key,
     // replaced warm-only entry resurrects with the new result's flags.
     EntryList::iterator entry = existing->second;
     RemoveFromRegionIndex(&*entry);
-    AccountErase(entry->result);
+    if (!entry->result.warm_only) --exact_entries_;
     const auto old_warm = warm_index_.find(entry->warm_key);
     if (old_warm != warm_index_.end() && old_warm->second == entry) {
       warm_index_.erase(old_warm);
     }
     entry->warm_key = warm_key;
     entry->result = std::move(result);
-    AccountInsert(entry->result);
+    if (!entry->result.warm_only) ++exact_entries_;
     AddToRegionIndex(&*entry);
     if (entry->result.has_state && !warm_key.empty()) {
       warm_index_[warm_key] = entry;
@@ -189,7 +170,7 @@ bool ResultCache::Insert(const std::string& key, const std::string& warm_key,
   entries_.push_back(Entry{key, warm_key, std::move(result)});
   EntryList::iterator entry = std::prev(entries_.end());
   index_[key] = entry;
-  AccountInsert(entry->result);
+  if (!entry->result.warm_only) ++exact_entries_;
   AddToRegionIndex(&*entry);
   if (entry->result.has_state && !warm_key.empty()) {
     // Latest insertion wins the warm slot: it is the freshest (p, r)
@@ -259,21 +240,6 @@ void ResultCache::InvalidateAll() {
   ApplyInvalidation(affected);
 }
 
-void ResultCache::NoteEpochBump(std::int64_t retired_epoch) {
-  std::int64_t invalidated = 0;
-  std::int64_t demoted = 0;
-  const auto it = epoch_counts_.find(retired_epoch);
-  if (it != epoch_counts_.end()) {
-    invalidated = it->second.entries;
-    demoted = it->second.state_bearing;
-    epoch_counts_.erase(it);
-  }
-  stats_.invalidated += invalidated;
-  stats_.warm_demoted += demoted;
-  IMPREG_METRIC_COUNT("service.cache.invalidated", invalidated);
-  IMPREG_METRIC_COUNT("service.cache.warm_demoted", demoted);
-}
-
 std::vector<ResultCache::ExportedEntry> ResultCache::ExportEntries() const {
   std::vector<ExportedEntry> out;
   out.reserve(entries_.size());
@@ -296,7 +262,6 @@ void ResultCache::Clear() {
   warm_index_.clear();
   for (std::vector<Entry*>& bucket : region_buckets_) bucket.clear();
   all_region_.clear();
-  epoch_counts_.clear();
   exact_entries_ = 0;
 }
 

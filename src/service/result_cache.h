@@ -103,8 +103,8 @@ struct CachedResult {
   /// Warm-restart state (push family only): the (p, r) invariant pair,
   /// the graph epoch it was computed at, and the ε it satisfies.
   /// `epoch` is stamped on every insert (state-bearing or not) — it is
-  /// what the epoch-bump invalidation accounting reads, and what keeps
-  /// a batch pinned at an older snapshot from seeing a newer answer.
+  /// what keeps a batch pinned at an older snapshot from seeing a newer
+  /// answer.
   bool has_state = false;
   Vector p;
   Vector r;
@@ -131,14 +131,6 @@ struct ResultCacheStats {
   /// fault-containment path: a poisoned result is dropped, never
   /// served).
   std::int64_t rejected = 0;
-  /// Entries whose insert epoch a bump retired (they were inserted at
-  /// the epoch the edit replaced). Mirrors `service.cache.invalidated`
-  /// — the visibility handle on edit churn. Maintained O(1) per bump
-  /// from per-epoch counts kept at insert/evict time.
-  std::int64_t invalidated = 0;
-  /// The subset of `invalidated` that carried warm-restart state.
-  /// Mirrors `service.cache.warm_demoted`.
-  std::int64_t warm_demoted = 0;
   /// Surgical invalidation: entries evicted because an edit touched
   /// their fingerprint region and they carried no warm state worth
   /// keeping. Mirrors `service.cache.region_evicted`.
@@ -211,17 +203,6 @@ class ResultCache {
   /// engines running with surgical invalidation disabled.
   void InvalidateAll();
 
-  /// Epoch-bump accounting: the engine calls this right after an edit
-  /// retires `retired_epoch` (the epoch the edit replaced), *before*
-  /// InvalidateRegion. Counts entries stamped with that epoch into
-  /// stats().invalidated / service.cache.invalidated, and the
-  /// state-bearing subset into stats().warm_demoted /
-  /// service.cache.warm_demoted. O(1): reads the per-epoch counts
-  /// maintained at insert/evict time and retires the bucket. Entries
-  /// from older epochs were counted at their own bump and are not
-  /// re-counted.
-  void NoteEpochBump(std::int64_t retired_epoch);
-
   std::size_t Size() const { return entries_.size(); }
   /// Entries servable through exact lookup (not warm-only).
   std::size_t ExactSize() const {
@@ -257,12 +238,6 @@ class ResultCache {
   };
   using EntryList = std::list<Entry>;
 
-  /// Per-epoch insert accounting for O(1) NoteEpochBump.
-  struct EpochCounts {
-    std::int64_t entries = 0;
-    std::int64_t state_bearing = 0;
-  };
-
   /// Registers a (non-warm-only) entry in the region bucket index.
   void AddToRegionIndex(Entry* e);
   /// Erase-if-found inverse of AddToRegionIndex (no-op for warm-only
@@ -271,9 +246,7 @@ class ResultCache {
   /// Evicts or demotes every gathered entry and updates the surgical
   /// stats (shared tail of InvalidateRegion / InvalidateAll).
   void ApplyInvalidation(const std::vector<Entry*>& affected);
-  void AccountInsert(const CachedResult& result);
-  void AccountErase(const CachedResult& result);
-  /// Full removal: region index, epoch counts, exact index, warm slot,
+  /// Full removal: region index, exact count, key index, warm slot,
   /// entry list.
   void EraseEntry(EntryList::iterator entry);
 
@@ -287,7 +260,6 @@ class ResultCache {
   /// are stable (std::list nodes).
   std::array<std::vector<Entry*>, RegionFingerprint::kBits> region_buckets_;
   std::vector<Entry*> all_region_;
-  std::unordered_map<std::int64_t, EpochCounts> epoch_counts_;
   std::int64_t exact_entries_ = 0;
   ResultCacheStats stats_;
 };

@@ -95,11 +95,10 @@ class DynamicGraph {
   /// as the u-major `AddEdge(u, head)` loop over head ≥ u arcs (the
   /// canonical load order the durability layer replays) leaves it:
   /// heads < u in ascending order (weights from the lower row, as
-  /// AddEdge mirrors them), then heads ≥ u in CSR order. For builder
-  /// output (sorted rows, mirrored weights equal) that is the CSR row
-  /// itself, so the row-sum degrees are bitwise the CSR degrees;
-  /// relabeled graphs (`ApplyNodePermutation`) keep their unsorted
-  /// tails.
+  /// AddEdge mirrors them), then heads ≥ u in CSR order. CSR rows are
+  /// sorted with bitwise-equal mirrored weights, so that is the CSR row
+  /// itself: the row-sum degrees are bitwise the CSR degrees and
+  /// `FromGraph(g).ToGraph()` is bitwise `g`.
   static DynamicGraph FromGraph(const Graph& g);
 
   /// Reassembles a graph from its exact serialized parts — adjacency in

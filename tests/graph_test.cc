@@ -1,9 +1,19 @@
 #include "graph/graph.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "streaming/dynamic_graph.h"
+#include "util/rng.h"
 
 namespace impreg {
 namespace {
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(GraphBuilderTest, EmptyGraph) {
   GraphBuilder builder(0);
@@ -62,6 +72,68 @@ TEST(GraphBuilderTest, AdjacencyIsSorted) {
   ASSERT_EQ(heads.size(), 4u);
   for (std::size_t i = 0; i + 1 < heads.size(); ++i) {
     EXPECT_LT(heads[i], heads[i + 1]);
+  }
+}
+
+/// Random multigraph whose raw rows are longer than std::sort's
+/// insertion-sort cutoff (16 arcs), with one edge line in 20 added three
+/// times: the merged weight of a tripled edge depends on the order its
+/// copies are summed in, so the two rows of the edge agree bitwise only
+/// if both sum them in the same order.
+Graph TripledMultigraph(NodeId n, int average_degree, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder builder(n);
+  const std::int64_t lines = std::int64_t{n} * average_degree / 2;
+  for (std::int64_t i = 0; i < lines; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(n));
+    const int copies = rng.NextBounded(20) == 0 ? 3 : 1;
+    for (int c = 0; c < copies; ++c) {
+      builder.AddEdge(u, v, rng.NextDouble(0.1, 3.0));
+    }
+  }
+  return builder.Build();
+}
+
+TEST(GraphBuilderTest, MergedParallelEdgesKeepMirroredWeightsEqual) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Graph g = TripledMultigraph(400, 8 + 8 * (seed % 4), seed);
+    std::int64_t asymmetric = 0;
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      const auto heads = g.Heads(u);
+      const auto weights = g.Weights(u);
+      for (std::size_t i = 0; i < heads.size(); ++i) {
+        const auto mirror = g.Heads(heads[i]);
+        const auto it = std::lower_bound(mirror.begin(), mirror.end(), u);
+        ASSERT_TRUE(it != mirror.end() && *it == u);
+        const double back =
+            g.Weights(heads[i])[static_cast<std::size_t>(it - mirror.begin())];
+        if (Bits(back) != Bits(weights[i])) ++asymmetric;
+      }
+    }
+    EXPECT_EQ(asymmetric, 0);
+
+    // The mirrored weights are what the dynamic graph keeps (it copies
+    // the lower row's), so equal mirrors make the round trip exact.
+    const Graph round_trip = DynamicGraph::FromGraph(g).ToGraph();
+    ASSERT_EQ(round_trip.NumArcs(), g.NumArcs());
+    EXPECT_TRUE(std::ranges::equal(round_trip.Offsets(), g.Offsets()));
+    EXPECT_TRUE(std::ranges::equal(round_trip.Heads(), g.Heads()));
+    std::int64_t weight_diffs = 0;
+    for (ArcIndex a = 0; a < g.NumArcs(); ++a) {
+      if (Bits(round_trip.Weights()[a]) != Bits(g.Weights()[a])) {
+        ++weight_diffs;
+      }
+    }
+    EXPECT_EQ(weight_diffs, 0);
+    std::int64_t degree_diffs = 0;
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      if (Bits(round_trip.Degree(u)) != Bits(g.Degree(u))) ++degree_diffs;
+    }
+    EXPECT_EQ(degree_diffs, 0);
+    EXPECT_EQ(round_trip.NumEdges(), g.NumEdges());
+    EXPECT_EQ(Bits(round_trip.TotalVolume()), Bits(g.TotalVolume()));
   }
 }
 

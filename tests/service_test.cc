@@ -214,33 +214,6 @@ TEST(ResultCacheTest, DefaultRegionIsConservativeWholeGraph) {
   EXPECT_EQ(cache.stats().region_evicted, 1);
 }
 
-TEST(ResultCacheTest, EpochBumpAccountingConsumesEachEpochOnce) {
-  ResultCache cache(8);
-  CachedResult e0a = MakeResult(1.0);
-  e0a.epoch = 0;
-  CachedResult e0b = MakeResult(2.0);
-  e0b.epoch = 0;
-  e0b.has_state = true;
-  e0b.p = {1.0};
-  e0b.r = {0.5};
-  CachedResult e1 = MakeResult(3.0);
-  e1.epoch = 1;
-  cache.Insert("a", "", std::move(e0a));
-  cache.Insert("b", "warm", std::move(e0b));
-  cache.Insert("c", "", std::move(e1));
-
-  cache.NoteEpochBump(0);
-  EXPECT_EQ(cache.stats().invalidated, 2);
-  EXPECT_EQ(cache.stats().warm_demoted, 1);
-  // The epoch-0 bucket was consumed: a second bump of the same epoch
-  // adds nothing (the counts are O(1) per bump, not a rescan).
-  cache.NoteEpochBump(0);
-  EXPECT_EQ(cache.stats().invalidated, 2);
-  EXPECT_EQ(cache.stats().warm_demoted, 1);
-  cache.NoteEpochBump(1);
-  EXPECT_EQ(cache.stats().invalidated, 3);
-}
-
 // —— QueryEngine behavior ————————————————————————————————————————
 
 Graph ServiceGraph() { return CavemanGraph(8, 10); }
@@ -395,6 +368,54 @@ TEST(QueryEngineTest, InvalidateAllBaselineRetiresDistantEntriesToo) {
 
   EXPECT_NE(engine.Run(far_query).source, QuerySource::kCached);
   EXPECT_EQ(engine.cache().stats().region_retained, 0);
+}
+
+TEST(QueryEngineTest, StalePinnedInsertIsCheckedAgainstTheEditsItMissed) {
+  // A batch pinned before some edits inserts its answer stamped with
+  // the pinned epoch. The insert is checked against the edits the
+  // batch missed: if none touched the answer's region it is still
+  // exact on the live graph and serves verbatim; if one did — or the
+  // missed window outgrew the engine's 4,096-edit journal — it is kept
+  // for warm restarts only. The query is the clique-4 push of the
+  // retention test above; clique 0 (nodes 0–9) lies outside its region.
+  const Query query = PushQuery({45}, 1e-3);
+  struct Served {
+    bool region_covers_edit;
+    QuerySource source;
+    Vector scores;
+  };
+  const auto serve_after_missed_edits = [&query](NodeId u, NodeId v,
+                                                 int edits) {
+    QueryEngine engine(ServiceGraph());
+    const DynamicGraph::SnapshotView snap = engine.PinSnapshot();
+    for (int i = 0; i < edits; ++i) engine.AddEdge(u, v, 0.5);
+    EXPECT_EQ(engine.RunBatchOn(snap, {query})[0].source, QuerySource::kCold);
+    // The region fingerprint is lossy; read the stored one to be sure
+    // the edit really misses (or hits) it.
+    const auto entries = engine.cache().ExportEntries();
+    EXPECT_EQ(entries.size(), 1u);
+    const bool covers = entries.at(0).result->region.CoversEdit(u, v);
+    QueryResponse now = engine.Run(query);
+    return Served{covers, now.source, std::move(now.scores)};
+  };
+
+  const Served outside = serve_after_missed_edits(1, 2, 1);
+  ASSERT_FALSE(outside.region_covers_edit);
+  EXPECT_EQ(outside.source, QuerySource::kCached);
+  // Served verbatim, it is bitwise the cold answer on the edited graph.
+  QueryEngine::Options no_cache;
+  no_cache.enable_cache = false;
+  QueryEngine cold(ServiceGraph(), no_cache);
+  cold.AddEdge(1, 2, 0.5);
+  EXPECT_EQ(outside.scores, cold.Run(query).scores);
+
+  const Served inside = serve_after_missed_edits(44, 46, 1);
+  ASSERT_TRUE(inside.region_covers_edit);
+  EXPECT_EQ(inside.source, QuerySource::kWarm);
+
+  const Served overflow = serve_after_missed_edits(1, 2, 4096 + 1);
+  ASSERT_FALSE(overflow.region_covers_edit);
+  EXPECT_EQ(overflow.source, QuerySource::kWarm);
 }
 
 TEST(QueryEngineTest, RemoveEdgeUndoesAddEdgeBitwise) {

@@ -225,13 +225,13 @@ TEST(TraceTest, MonteCarloTraceAndMetricsMirrorWalksAndSteps) {
             result.steps);
 }
 
-TEST(TraceTest, CacheInvalidationCountersMirrorEpochBumps) {
+TEST(TraceTest, RegionInvalidationCountersMirrorCacheStats) {
   ScopedMetrics metrics;
   const Graph g = CavemanGraph(4, 6);
   QueryEngine engine(g);
 
-  // Two push queries (state-bearing) + one nibble (no warm state), all
-  // inserted at epoch 0.
+  // Two push queries (state-bearing) + one nibble (whole-graph region,
+  // no warm state), all inserted at epoch 0.
   Query push1;
   push1.seeds = {0};
   Query push2;
@@ -242,26 +242,44 @@ TEST(TraceTest, CacheInvalidationCountersMirrorEpochBumps) {
   engine.RunBatch({push1, push2, nib});
   ASSERT_EQ(engine.cache().Size(), 3u);
 
-  // The bump retires epoch 0: all three entries stop exact-matching
-  // (service.cache.invalidated), and only the two push entries keep
-  // serving warm (service.cache.warm_demoted).
-  engine.AddEdge(0, 12);
   MetricsRegistry& registry = MetricsRegistry::Get();
-  EXPECT_EQ(registry.FindOrCreateCounter("service.cache.invalidated")->Value(),
-            3);
-  EXPECT_EQ(
-      registry.FindOrCreateCounter("service.cache.warm_demoted")->Value(), 2);
-  EXPECT_EQ(engine.cache().stats().invalidated, 3);
-  EXPECT_EQ(engine.cache().stats().warm_demoted, 2);
+  const auto expect_counters_mirror_stats = [&] {
+    const ResultCacheStats& stats = engine.cache().stats();
+    EXPECT_EQ(
+        registry.FindOrCreateCounter("service.cache.region_evicted")->Value(),
+        stats.region_evicted);
+    EXPECT_EQ(
+        registry.FindOrCreateCounter("service.cache.region_demoted")->Value(),
+        stats.region_demoted);
+    EXPECT_EQ(
+        registry.FindOrCreateCounter("service.cache.region_retained")->Value(),
+        stats.region_retained);
+  };
 
-  // A second bump counts only epoch-1 entries; the epoch-0 ones were
-  // already retired and must not be re-counted.
+  // Every exact entry is evicted, demoted or retained by an edit: the
+  // nibble entry (whole graph) is evicted, push1 (its seed is an
+  // endpoint) is demoted to warm service.
+  engine.AddEdge(0, 12);
+  expect_counters_mirror_stats();
+  const ResultCacheStats first = engine.cache().stats();
+  EXPECT_GE(first.region_evicted, 1);
+  EXPECT_GE(first.region_demoted, 1);
+  EXPECT_EQ(first.region_evicted + first.region_demoted +
+                first.region_retained,
+            3);
+
+  // push1 warm-restarts back into exact service; the second edit
+  // touches its seed's clique again.
   engine.RunBatch({push1});
+  const auto exact_before =
+      static_cast<std::int64_t>(engine.cache().ExactSize());
   engine.AddEdge(1, 13);
-  EXPECT_EQ(registry.FindOrCreateCounter("service.cache.invalidated")->Value(),
-            4);
-  EXPECT_EQ(
-      registry.FindOrCreateCounter("service.cache.warm_demoted")->Value(), 3);
+  expect_counters_mirror_stats();
+  const ResultCacheStats& second = engine.cache().stats();
+  EXPECT_GT(second.region_demoted, first.region_demoted);
+  EXPECT_EQ(second.region_evicted + second.region_demoted +
+                second.region_retained,
+            3 + exact_before);
 }
 
 // —— Bounded-memory contracts ————————————————————————————————————
