@@ -1,14 +1,15 @@
 // Microbenchmarks (google-benchmark) for the computational kernels
 // under every experiment: sparse matvec, diffusion steps, push, sweep,
 // max-flow, and the eigensolvers. Results are also dumped as an
-// impreg-bench-v2 JSON report (bench/out/BENCH_micro_kernels.json by
-// default — gitignored; override with --out=PATH or the
-// IMPREG_BENCH_REPORT environment variable) with the process metrics
-// snapshot embedded, so the perf trajectory is tracked by
-// impreg_bench_diff rather than by committed files — see
-// bench/report.h and docs/observability.md. --link-root refreshes a
-// BENCH_micro_kernels.json symlink at the repo root for the old
-// habit of looking there.
+// impreg-bench-v2 JSON report (BENCH_micro_kernels.json in the build
+// tree by default; override with --out=PATH or the IMPREG_BENCH_REPORT
+// environment variable) with the process metrics snapshot embedded,
+// so the perf trajectory is tracked by impreg_bench_diff — see
+// bench/report.h and docs/observability.md. The checked-in
+// bench/out/BENCH_micro_kernels.json is the micro_kernels_report_gate
+// baseline; refresh it only with an explicit --out. --link-root
+// refreshes a BENCH_micro_kernels.json symlink at the repo root for
+// the old habit of looking there.
 
 #include <benchmark/benchmark.h>
 

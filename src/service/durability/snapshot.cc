@@ -21,12 +21,12 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'I', 'M', 'P', 'R', 'G', 'S', 'N', 'P'};
-// v2 appends each cache entry's region fingerprint and warm_only flag
-// (surgical invalidation state). The read side is strict-v2: snapshots
-// are rewritten every epoch checkpoint, so there is no v1 archive to
-// stay compatible with — an old-version file is rejected and recovery
-// falls back to the WAL, which is always complete.
-constexpr std::uint32_t kVersion = 2;
+// v3 stores each cache entry's scores, p and r as sparse (node, value)
+// lists where v2 stored dense n-vectors. The read side is strict-v3:
+// snapshots are rewritten every epoch checkpoint, so there is no older
+// archive to stay compatible with — an old-version file is rejected and
+// recovery falls back to the WAL, which is always complete.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kHeaderSize = 8 + 4;       // magic | version
 constexpr std::size_t kBodyPrefix = 8 + 4;       // payload_size | crc
 constexpr char kFilePrefix[] = "snapshot-";
@@ -52,9 +52,12 @@ class Writer {
     U32(static_cast<std::uint32_t>(s.size()));
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
-  void Doubles(const std::vector<double>& v) {
+  void Sparse(const SparseVector& v) {
     U64(v.size());
-    for (double x : v) F64(x);
+    for (const SparseEntry& e : v) {
+      I32(e.node);
+      F64(e.value);
+    }
   }
   void Ids(const std::vector<NodeId>& v) {
     U64(v.size());
@@ -111,12 +114,26 @@ class Reader {
     pos_ += n;
     return s;
   }
-  std::vector<double> Doubles() {
+  /// A sparse vector whose nodes must ascend strictly within
+  /// [0, num_nodes); anything else fails the read.
+  SparseVector Sparse(std::int64_t num_nodes) {
     const std::uint64_t n = U64();
-    if (!Need(n * 8)) return {};
-    std::vector<double> v;
+    if (!ok_ || n > (size_ - pos_) / 12) {
+      ok_ = false;
+      return {};
+    }
+    SparseVector v;
     v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(F64());
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const NodeId node = I32();
+      const double value = F64();
+      if (node < 0 || node >= num_nodes ||
+          (!v.empty() && node <= v.back().node)) {
+        ok_ = false;
+        return {};
+      }
+      v.push_back({node, value});
+    }
     return v;
   }
   std::vector<NodeId> Ids() {
@@ -147,15 +164,15 @@ void EncodeCachedResult(const std::string& key, const std::string& warm_key,
                         const CachedResult& r, Writer* w) {
   w->Str(key);
   w->Str(warm_key);
-  w->Doubles(r.scores);
+  w->Sparse(r.scores);
   w->Ids(r.set);
   w->F64(r.conductance);
   w->I64(r.work);
   w->U8(static_cast<std::uint8_t>(r.status));
   w->Str(r.detail);
   w->U8(r.has_state ? 1 : 0);
-  w->Doubles(r.p);
-  w->Doubles(r.r);
+  w->Sparse(r.p);
+  w->Sparse(r.r);
   w->I64(r.epoch);
   w->F64(r.epsilon);
   for (std::uint64_t word : r.region.words) w->U64(word);
@@ -163,19 +180,19 @@ void EncodeCachedResult(const std::string& key, const std::string& warm_key,
   w->U8(r.warm_only ? 1 : 0);
 }
 
-SnapshotCacheEntry DecodeCachedResult(Reader* r) {
+SnapshotCacheEntry DecodeCachedResult(Reader* r, std::int64_t num_nodes) {
   SnapshotCacheEntry e;
   e.key = r->Str();
   e.warm_key = r->Str();
-  e.result.scores = r->Doubles();
+  e.result.scores = r->Sparse(num_nodes);
   e.result.set = r->Ids();
   e.result.conductance = r->F64();
   e.result.work = r->I64();
   e.result.status = static_cast<SolveStatus>(r->U8());
   e.result.detail = r->Str();
   e.result.has_state = r->U8() != 0;
-  e.result.p = r->Doubles();
-  e.result.r = r->Doubles();
+  e.result.p = r->Sparse(num_nodes);
+  e.result.r = r->Sparse(num_nodes);
   e.result.epoch = r->I64();
   e.result.epsilon = r->F64();
   for (std::uint64_t& word : e.result.region.words) word = r->U64();
@@ -375,7 +392,7 @@ SnapshotLoadResult LoadSnapshot(const std::string& path) {
 
   const std::uint32_t cache_count = r.U32();
   for (std::uint32_t i = 0; i < cache_count && r.ok(); ++i) {
-    data.cache_entries.push_back(DecodeCachedResult(&r));
+    data.cache_entries.push_back(DecodeCachedResult(&r, num_nodes));
   }
   if (!r.ok() || !r.AtEnd()) return Reject("snapshot payload malformed");
 

@@ -18,20 +18,31 @@
 ///
 /// File layout (little-endian):
 ///
-///   header  := magic "IMPRGSNP" | u32 version (2)
+///   header  := magic "IMPRGSNP" | u32 version (3)
 ///   body    := u64 payload_size | u32 crc32c(payload) | payload
 ///   payload := i64 epoch
 ///            | i64 num_nodes | i64 num_edges | f64 total_volume
 ///            | f64 degrees[num_nodes]
 ///            | per node: u32 count | (i32 head, f64 weight)[count]
 ///            | u32 cache_entries
-///            | per entry: key, warm_key, CachedResult (see snapshot.cc)
+///            | per entry: entry
+///   entry   := str key | str warm_key | sparse scores
+///            | u64 set_size | i32 set[set_size]
+///            | f64 conductance | i64 work | u8 status | str detail
+///            | u8 has_state | sparse p | sparse r
+///            | i64 epoch | f64 epsilon
+///            | u64 region_words[8] | u8 region_all | u8 warm_only
+///   str     := u32 length | bytes
+///   sparse  := u64 count | (i32 node, f64 value)[count]
 ///
-/// v2 appends each cache entry's region fingerprint (the surgical-
-/// invalidation locality bits) and warm_only flag after the v1 fields;
-/// the reader is strict-v2 — snapshots are rewritten at every
-/// checkpoint, so an older-version file is simply rejected and
-/// recovery falls back to full WAL replay.
+/// A sparse list holds its nodes in strictly ascending order, each in
+/// [0, num_nodes), and every value whose bits are not +0.0, so it
+/// restores the dense vector bit for bit (linalg/sparse_vector.h). v2
+/// stored scores, p and r as dense n-vectors; v3 makes an entry cost
+/// O(support). The reader is strict-v3 — snapshots are rewritten at
+/// every checkpoint, so an older-version file is simply rejected and
+/// recovery falls back to full WAL replay (reported as kBreakdown, with
+/// the state fully recovered).
 ///
 /// Bit-identical restore is the design constraint that shaped the
 /// format: degrees and total_volume are *accumulated* floating-point

@@ -1,10 +1,9 @@
 #include "service/query_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
+#include <ranges>
 #include <unordered_map>
 #include <utility>
 
@@ -12,9 +11,10 @@
 #include "core/parallel.h"
 #include "core/work_budget.h"
 #include "diffusion/pagerank.h"
+#include "linalg/sparse_vector.h"
 #include "partition/hkrelax.h"
 #include "partition/nibble.h"
-#include "streaming/incremental_ppr.h"
+#include "streaming/push_kernel.h"
 #include "util/check.h"
 
 namespace impreg {
@@ -42,6 +42,30 @@ std::string SeedFingerprint(const std::vector<NodeId>& canonical_seeds) {
     fp += std::to_string(canonical_seeds[i]);
   }
   return fp;
+}
+
+/// The uniform distribution over canonical seeds, as a dense n-vector
+/// (the hk-relax, Nibble and dense PPR library calls take one).
+Vector SeedDistribution(const std::vector<NodeId>& canonical_seeds,
+                        NodeId n) {
+  Vector seed(n, 0.0);
+  const double mass = 1.0 / static_cast<double>(canonical_seeds.size());
+  for (NodeId s : canonical_seeds) seed[s] = mass;
+  return seed;
+}
+
+/// The node ids of a sparse vector, in its (ascending) order.
+auto NodesOf(const SparseVector& v) {
+  return std::views::transform(v,
+                               [](const SparseEntry& e) { return e.node; });
+}
+
+/// This thread's push state. The pool's threads live as long as the
+/// process, so each allocates its arrays once, at the largest graph it
+/// serves.
+PushWorkspace& ThreadPushWorkspace() {
+  thread_local PushWorkspace workspace;
+  return workspace;
 }
 
 /// The warm index key deliberately drops the epoch, ε and budget: any
@@ -114,20 +138,22 @@ const char* QuerySourceName(QuerySource source) {
 
 struct QueryEngine::WorkItem {
   Query query;  ///< Canonicalized (seeds sorted + deduplicated).
-  Vector seed;  ///< Uniform distribution over the canonical seeds.
   std::string key;
   std::string warm_key;
   QueryResponse response;
   bool done = false;   ///< Answered (cache hit) — skip execution.
   bool fresh = false;  ///< Computed this batch — candidate for insert.
-  bool warm = false;
-  Vector warm_p;
-  Vector warm_r;
-  std::int64_t warm_epoch = 0;
+  /// Exact cache hit whose scores the parallel phase scatters into the
+  /// response, and warm-restart source. Both point into the cache,
+  /// which nothing mutates between the lookups and the inserts.
+  const CachedResult* hit = nullptr;
+  const CachedResult* warm = nullptr;
+  /// Sparse cut of the response scores, for the cache insert.
+  SparseVector payload;
   /// Push state captured for caching after execution.
   bool has_state = false;
-  Vector state_p;
-  Vector state_r;
+  SparseVector state_p;
+  SparseVector state_r;
   /// Read region of the computed answer (push fills an explicit
   /// fingerprint; whole-graph methods keep the default all-region).
   RegionFingerprint region;
@@ -256,64 +282,91 @@ void QueryEngine::ExecutePush(WorkItem& item,
   opts.epsilon = q.epsilon;
   opts.budget = q.max_work > 0 ? &budget : nullptr;
 
-  Vector p, r;
-  if (item.warm) {
-    p = std::move(item.warm_p);
-    if (item.warm_epoch == snap.epoch()) {
-      // Same graph: the cached residual is exact — continue the push
-      // (a tighter ε simply drains r further).
-      r = std::move(item.warm_r);
-    } else {
-      // The graph changed since the state was cached: restore the push
-      // invariant on the *pinned* graph with one column scatter over
-      // supp(p) — the AddEdge repair generalized to any edit distance.
-      r = InvariantResidual(graph, item.seed, p, q.gamma);
+  // The state lives in this thread's workspace: loading it, the push
+  // and the cut below cost O(touched); only the dense response is n
+  // long. Each start queues what a full ascending scan for over-
+  // threshold residuals would, in the same order.
+  PushWorkspace& ws = ThreadPushWorkspace();
+  ws.Reserve(n);
+  const auto load_seed = [&] {
+    const double mass = 1.0 / static_cast<double>(q.seeds.size());
+    for (NodeId s : q.seeds) {
+      ws.Touch(s);
+      ws.r[s] = mass;
     }
+  };
+  const auto load = [&ws](const SparseVector& from, Vector& to) {
+    for (const SparseEntry& e : from) {
+      ws.Touch(e.node);
+      to[e.node] = e.value;
+    }
+  };
+  if (item.warm == nullptr) {
+    load_seed();
+    EnqueueOverThreshold(graph, ws, q.seeds, q.epsilon);
+  } else if (item.warm->epoch == snap.epoch()) {
+    // Same graph: the cached residual is exact — continue the push
+    // (a tighter ε simply drains r further).
+    load(item.warm->p, ws.p);
+    load(item.warm->r, ws.r);
+    EnqueueOverThreshold(graph, ws, NodesOf(item.warm->r), q.epsilon);
   } else {
-    p.assign(n, 0.0);
-    r = item.seed;
-  }
-
-  std::deque<NodeId> queue;
-  std::vector<char> queued(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const double d = graph.Degree(u);
-    const double threshold = d > 0.0 ? q.epsilon * d : q.epsilon;
-    if (std::abs(r[u]) >= threshold) {
-      queue.push_back(u);
-      queued[u] = 1;
-    }
+    // The graph changed since the state was cached: restore the push
+    // invariant on the *pinned* graph with one column scatter over
+    // supp(p) — the AddEdge repair generalized to any edit distance.
+    load(item.warm->p, ws.p);
+    load_seed();
+    InvariantResidualOver(graph, ws.p, NodesOf(item.warm->p), q.gamma, ws);
+    EnqueueOverThreshold(graph, ws, ws.SortedTouched(), q.epsilon);
   }
 
   SolverDiagnostics diag;
-  const std::int64_t pushes =
-      StandardFormPush(graph, opts, p, r, queue, queued, diag);
+  const std::int64_t pushes = StandardFormPushOver(graph, opts, ws, diag);
 
-  // Fingerprint the read region: every row this push — or a
-  // from-scratch recompute of it — can read lies in supp(p) ∪ supp(r)
-  // ∪ supp(seed) plus their one-hop neighborhoods (the threshold check
-  // reads the degree of every node residual is scattered to). An edit
-  // outside that region leaves the cached answer exactly valid — bit
-  // for bit — which is what surgical invalidation serves on.
-  item.region.Reset();
-  for (NodeId s : q.seeds) item.region.Add(s);
-  for (NodeId u = 0; u < n; ++u) {
-    if (p[u] == 0.0 && r[u] == 0.0) continue;
-    item.region.Add(u);
-    for (const DynamicGraph::Neighbor& nb : graph.Neighbors(u)) {
-      item.region.Add(nb.head);
+  const std::vector<NodeId>& touched = ws.SortedTouched();
+  item.response.scores.assign(n, 0.0);
+  for (NodeId u : touched) item.response.scores[u] = ws.p[u];
+  if (options_.enable_cache) {
+    // Fingerprint the read region: every row this push — or a
+    // from-scratch recompute of it — can read lies in supp(p) ∪
+    // supp(r) ∪ supp(seed) plus their one-hop neighborhoods (the
+    // threshold check reads the degree of every node residual is
+    // scattered to). An edit outside that region leaves the cached
+    // answer exactly valid — bit for bit — which is what surgical
+    // invalidation serves on. Every node with p or r nonzero is
+    // touched.
+    std::size_t p_count = 0;
+    std::size_t r_count = 0;
+    for (NodeId u : touched) {
+      p_count += IsStoredValue(ws.p[u]) ? 1 : 0;
+      r_count += IsStoredValue(ws.r[u]) ? 1 : 0;
     }
+    item.state_p.reserve(p_count);
+    item.state_r.reserve(r_count);
+    item.region.Reset();
+    for (NodeId s : q.seeds) item.region.Add(s);
+    for (NodeId u : touched) {
+      const double pu = ws.p[u];
+      const double ru = ws.r[u];
+      if (IsStoredValue(pu)) item.state_p.push_back({u, pu});
+      if (IsStoredValue(ru)) item.state_r.push_back({u, ru});
+      if (pu == 0.0 && ru == 0.0) continue;
+      item.region.Add(u);
+      for (const DynamicGraph::Neighbor& nb : graph.Neighbors(u)) {
+        item.region.Add(nb.head);
+      }
+    }
+    item.payload = item.state_p;
+    item.has_state = true;
   }
+  ws.Clear();
 
-  item.response.scores = p;
   item.response.work = pushes;
   item.response.status = diag.status;
   item.response.detail = diag.detail;
-  item.response.source = item.warm ? QuerySource::kWarm : QuerySource::kCold;
-  item.state_p = std::move(p);
-  item.state_r = std::move(r);
-  item.has_state = true;
-  if (item.warm) {
+  const bool warm = item.warm != nullptr;
+  item.response.source = warm ? QuerySource::kWarm : QuerySource::kCold;
+  if (warm) {
     IMPREG_METRIC_COUNT("service.engine.warm", 1);
     IMPREG_METRIC_COUNT("service.engine.warm_pushes", pushes);
   } else {
@@ -339,8 +392,8 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.delta = q.delta;
       opts.tail_tolerance = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      HkRelaxResult hk =
-          HeatKernelRelaxFromDistribution(*frozen, item.seed, opts);
+      HkRelaxResult hk = HeatKernelRelaxFromDistribution(
+          *frozen, SeedDistribution(q.seeds, frozen->NumNodes()), opts);
       item.response.scores = std::move(hk.rho);
       item.response.set = std::move(hk.set);
       item.response.conductance = hk.stats.conductance;
@@ -358,7 +411,8 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.steps = q.steps;
       opts.epsilon = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      NibbleResult nib = NibbleFromDistribution(*frozen, item.seed, opts);
+      NibbleResult nib = NibbleFromDistribution(
+          *frozen, SeedDistribution(q.seeds, frozen->NumNodes()), opts);
       item.response.scores = std::move(nib.distribution);
       item.response.set = std::move(nib.set);
       item.response.conductance = nib.stats.conductance;
@@ -379,6 +433,24 @@ void QueryEngine::ExecuteItem(WorkItem& item,
   item.done = true;
 }
 
+void QueryEngine::FinishItem(WorkItem& item,
+                             const DynamicGraph::SnapshotView& snap,
+                             const Graph* frozen) {
+  if (item.hit != nullptr) {
+    item.response.scores.assign(snap.graph().NumNodes(), 0.0);
+    ScatterInto(item.hit->scores, item.response.scores);
+    item.response.set = item.hit->set;
+    return;
+  }
+  if (!item.done) ExecuteItem(item, snap, frozen);
+  // Push cuts its payload from the workspace; the other methods' library
+  // calls answer dense, so their payload is cut here, off the
+  // sequential phases.
+  if (options_.enable_cache && item.query.method != QueryMethod::kPprPush) {
+    item.payload = SparseFromDense(item.response.scores);
+  }
+}
+
 void QueryEngine::RunDenseGroup(const Graph& frozen,
                                 std::vector<WorkItem*>& group) {
   IMPREG_METRIC_TIMER("service.dense_group.latency_ns");
@@ -395,7 +467,7 @@ void QueryEngine::RunDenseGroup(const Graph& frozen,
   seeds.reserve(group.size());
   budgets.reserve(group.size());
   for (WorkItem* item : group) {
-    seeds.push_back(std::move(item->seed));
+    seeds.push_back(SeedDistribution(item->query.seeds, frozen.NumNodes()));
     budgets.emplace_back(item->query.max_work);
     budget_ptrs.push_back(item->query.max_work > 0 ? &budgets.back()
                                                    : nullptr);
@@ -499,9 +571,6 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     if (item->query.method == QueryMethod::kPprPush) {
       item->warm_key = WarmKey(item->query);
     }
-    item->seed.assign(n, 0.0);
-    const double mass = 1.0 / static_cast<double>(item->query.seeds.size());
-    for (NodeId s : item->query.seeds) item->seed[s] = mass;
     slot[i] = static_cast<int>(items.size());
     owner[i] = 1;
     dedup.emplace(item->key, static_cast<int>(items.size()));
@@ -519,8 +588,8 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       // snapshot's epoch.
       const CachedResult* hit = cache_.Lookup(item.key, snap.epoch());
       if (hit != nullptr) {
-        item.response.scores = hit->scores;
-        item.response.set = hit->set;
+        // The scores and set are copied out on the pool (FinishItem).
+        item.hit = hit;
         item.response.conductance = hit->conductance;
         item.response.work = 0;
         item.response.status = hit->status;
@@ -535,12 +604,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       }
       if (item.query.method == QueryMethod::kPprPush) {
         const CachedResult* warm = cache_.WarmLookup(item.warm_key);
-        if (warm != nullptr && warm->has_state) {
-          item.warm = true;
-          item.warm_p = warm->p;
-          item.warm_r = warm->r;
-          item.warm_epoch = warm->epoch;
-        }
+        if (warm != nullptr && warm->has_state) item.warm = warm;
       }
     }
   }
@@ -572,17 +636,21 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     RunDenseGroup(*frozen, entry.second);
   }
 
-  // Phase 3b (parallel): everything else, one item per task. Each
-  // inner solver runs serially inside the pool (nested parallelism
+  // Phase 3b (parallel): everything else, one item per task, then the
+  // dense copies of cache hits and the payload cuts of the dense group.
+  // Each inner solver runs serially inside the pool (nested parallelism
   // falls back to serial), so answers are thread-count-invariant.
   std::vector<WorkItem*> pending;
   for (auto& owned : items) {
     if (!owned->done) pending.push_back(owned.get());
   }
+  for (auto& owned : items) {
+    if (owned->done) pending.push_back(owned.get());
+  }
   ParallelFor(0, static_cast<std::int64_t>(pending.size()), 1,
               [&](std::int64_t begin, std::int64_t end) {
                 for (std::int64_t i = begin; i < end; ++i) {
-                  ExecuteItem(*pending[i], snap, frozen);
+                  FinishItem(*pending[i], snap, frozen);
                 }
               });
 
@@ -593,7 +661,7 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
       WorkItem& item = *owned;
       if (!item.fresh || !StatusIsUsable(item.response.status)) continue;
       CachedResult cached;
-      cached.scores = item.response.scores;
+      cached.scores = std::move(item.payload);
       cached.set = item.response.set;
       cached.conductance = item.response.conductance;
       cached.work = item.response.work;
@@ -650,9 +718,18 @@ std::vector<QueryResponse> QueryEngine::RunBatchOn(
     }
   }
 
-  // Fan responses out to the original batch positions.
+  // Fan responses out to the original batch positions: the last
+  // arrival of each slot takes the response, earlier duplicates copy it.
+  std::vector<std::size_t> last(items.size(), 0);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (slot[i] >= 0) out[i] = items[slot[i]]->response;
+    if (slot[i] >= 0) last[slot[i]] = i;
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (slot[i] >= 0 && last[slot[i]] == i) {
+      out[i] = std::move(items[slot[i]]->response);
+    } else if (slot[i] >= 0) {
+      out[i] = items[slot[i]]->response;
+    }
     out[i].tenant = queries[i].tenant;
   }
   return out;

@@ -28,11 +28,12 @@
 ///  - independent queries execute through the deterministic ParallelFor
 ///    pool (each inner solver is single-threaded there, so answers are
 ///    bit-identical at any thread count);
-///  - each method runs through exactly one library entry point, on the
-///    graph's original labels: StandardFormPush ("ppr"),
-///    PersonalizedPageRankBatch ("ppr-dense"),
-///    HeatKernelRelaxFromDistribution ("heat-kernel") and
-///    NibbleFromDistribution ("nibble");
+///  - each method runs through exactly one library loop, on the
+///    graph's original labels: StandardFormPushOver ("ppr", the loop
+///    behind StandardFormPush, run in a per-thread PushWorkspace so a
+///    push costs O(touched), not O(n)), PersonalizedPageRankBatch
+///    ("ppr-dense"), HeatKernelRelaxFromDistribution ("heat-kernel")
+///    and NibbleFromDistribution ("nibble");
 ///  - compatible dense solves (same γ, tolerance and iteration cap) are
 ///    grouped into one PersonalizedPageRankBatch call — one adjacency
 ///    traversal per Richardson step for the whole group, each column
@@ -43,9 +44,10 @@
 ///    entry's read region leaves it exactly servable (surgical
 ///    invalidation; see service/result_cache.h). Push-family entries
 ///    keep their (p, r) invariant pair, so a tighter-ε or post-edit
-///    re-query warm-restarts from the residual (InvariantResidual — the
-///    IncrementalPersonalizedPageRank repair generalized) instead of
-///    recomputing.
+///    re-query warm-restarts from the residual (InvariantResidualOver —
+///    the IncrementalPersonalizedPageRank repair generalized) instead
+///    of recomputing. Every payload is a sparse cut; only the dense
+///    QueryResponse::scores of each answered arrival is n long.
 ///
 /// Budgeted queries degrade, never lie: a per-query WorkBudget that
 /// runs out yields a best-so-far answer carrying kBudgetExhausted and
@@ -294,6 +296,10 @@ class QueryEngine {
 
   void ExecuteItem(WorkItem& item, const DynamicGraph::SnapshotView& snap,
                    const Graph* frozen);
+  /// The parallel phase's task: scatter a cache hit into its dense
+  /// response, or execute the item; then cut its cache payload.
+  void FinishItem(WorkItem& item, const DynamicGraph::SnapshotView& snap,
+                  const Graph* frozen);
   void ExecutePush(WorkItem& item, const DynamicGraph::SnapshotView& snap);
   void RunDenseGroup(const Graph& frozen, std::vector<WorkItem*>& group);
 

@@ -11,7 +11,7 @@
 
 #include "core/solve_status.h"
 #include "graph/graph.h"
-#include "linalg/vector_ops.h"
+#include "linalg/sparse_vector.h"
 
 /// \file
 /// Deterministic result cache for the query-serving layer.
@@ -86,10 +86,14 @@ struct RegionFingerprint {
 /// per entry (insert-epoch stamp + region fingerprint + warm_only
 /// flag), which is what lets an entry outlive edits that miss its
 /// region.
+///
+/// The vectors are sparse cuts (linalg/sparse_vector.h), so an entry
+/// costs O(support) bytes whatever the graph size; a hit scatters
+/// `scores` back into the dense response bit for bit.
 struct CachedResult {
   /// The served vector (PPR scores, heat-kernel ρ, nibble
   /// distribution).
-  Vector scores;
+  SparseVector scores;
   /// Community set for the sweep-producing methods (empty otherwise).
   std::vector<NodeId> set;
   double conductance = 1.0;
@@ -106,8 +110,8 @@ struct CachedResult {
   /// what keeps a batch pinned at an older snapshot from seeing a newer
   /// answer.
   bool has_state = false;
-  Vector p;
-  Vector r;
+  SparseVector p;
+  SparseVector r;
   std::int64_t epoch = 0;
   double epsilon = 0.0;
   /// The node set this answer read (push region, or `all` for

@@ -186,19 +186,15 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
 std::string QueryResponseToJson(const QueryRequest& request,
                                 const QueryResponse& response,
                                 std::int64_t epoch) {
-  const Vector& scores = response.scores;
-  std::int64_t support = 0;
-  for (double s : scores) {
-    if (s > 0.0) ++support;
-  }
-
   // Top-k by score descending, node id ascending on ties; only
-  // positive-score nodes compete. Full sort keeps the order total and
-  // replay-stable.
+  // positive-score nodes compete, and they are the support. Full sort
+  // keeps the order total and replay-stable.
+  const Vector& scores = response.scores;
   std::vector<std::pair<double, NodeId>> ranked;
   for (NodeId u = 0; u < static_cast<NodeId>(scores.size()); ++u) {
     if (scores[u] > 0.0) ranked.emplace_back(scores[u], u);
   }
+  const std::size_t support = ranked.size();
   std::sort(ranked.begin(), ranked.end(),
             [](const std::pair<double, NodeId>& a,
                const std::pair<double, NodeId>& b) {
@@ -238,8 +234,11 @@ std::string QueryResponseToJson(const QueryRequest& request,
   out += ",\"top\":[";
   for (std::size_t i = 0; i < ranked.size(); ++i) {
     if (i > 0) out += ',';
-    out += "[" + std::to_string(ranked[i].second) + "," +
-           FormatDouble(ranked[i].first) + "]";
+    out += '[';
+    out += std::to_string(ranked[i].second);
+    out += ',';
+    out += FormatDouble(ranked[i].first);
+    out += ']';
   }
   out += "]}";
   return out;

@@ -45,28 +45,17 @@ DynamicGraph DynamicGraph::FromGraph(const Graph& g) {
   const NodeId n = g.NumNodes();
   DynamicGraph dynamic(n);
   Rep& rep = *dynamic.rep_;
-  auto row = [&rep](NodeId u) -> std::vector<Neighbor>& {
-    return rep.pages[PageIndex(u)]->rows[Slot(u)];
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    row(u).reserve(static_cast<std::size_t>(g.OutDegree(u)));
-  }
-  // The AddEdge(u, head ≥ u) loop without its duplicate scans (CSR rows
-  // hold each head once): lower rows have already appended their arcs
-  // to row u in ascending order, so row u is complete — and its degree
-  // final — once its own head ≥ u arcs follow in CSR order. Mirrored
-  // entries take the tail row's weight, as AddEdge does.
   for (NodeId u = 0; u < n; ++u) {
     const auto heads = g.Heads(u);
     const auto weights = g.Weights(u);
-    std::vector<Neighbor>& own = row(u);
+    Page& page = *rep.pages[PageIndex(u)];
+    std::vector<Neighbor>& row = page.rows[Slot(u)];
+    row.reserve(heads.size());
     for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i] < u) continue;
-      own.push_back({heads[i], weights[i]});
-      if (heads[i] != u) row(heads[i]).push_back({u, weights[i]});
-      ++rep.num_edges;
+      row.push_back({heads[i], weights[i]});
+      if (heads[i] >= u) ++rep.num_edges;
     }
-    rep.pages[PageIndex(u)]->degrees[Slot(u)] = RowSum(own);
+    page.degrees[Slot(u)] = RowSum(row);
   }
   return dynamic;
 }

@@ -91,14 +91,12 @@ class DynamicGraph {
   /// An edgeless graph on `num_nodes` nodes.
   explicit DynamicGraph(NodeId num_nodes);
 
-  /// Copies the rows of an immutable graph in one pass. Row u ends up
-  /// as the u-major `AddEdge(u, head)` loop over head ≥ u arcs (the
-  /// canonical load order the durability layer replays) leaves it:
-  /// heads < u in ascending order (weights from the lower row, as
-  /// AddEdge mirrors them), then heads ≥ u in CSR order. CSR rows are
-  /// sorted with bitwise-equal mirrored weights, so that is the CSR row
-  /// itself: the row-sum degrees are bitwise the CSR degrees and
-  /// `FromGraph(g).ToGraph()` is bitwise `g`.
+  /// Copies the rows of an immutable graph, each CSR row as is. That
+  /// is also the row the u-major `AddEdge(u, head)` loop over head ≥ u
+  /// arcs (the canonical load order the durability layer replays)
+  /// leaves, because CSR rows are sorted by head with bitwise-equal
+  /// mirrored weights: the row-sum degrees are bitwise the CSR degrees
+  /// and `FromGraph(g).ToGraph()` is bitwise `g`.
   static DynamicGraph FromGraph(const Graph& g);
 
   /// Reassembles a graph from its exact serialized parts — adjacency in

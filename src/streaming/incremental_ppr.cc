@@ -1,6 +1,7 @@
 #include "streaming/incremental_ppr.h"
 
 #include <cmath>
+#include <ranges>
 
 #include "core/metrics.h"
 #include "streaming/push_kernel.h"
@@ -17,21 +18,31 @@ inline double PushThreshold(const DynamicGraph& g, NodeId u, double epsilon) {
 
 }  // namespace
 
-// The kernel body lives in streaming/push_kernel.h as a template over
-// the adjacency provider; this instantiation over DynamicGraph is its
-// one provider.
+// The kernel bodies live in streaming/push_kernel.h as templates over
+// the adjacency provider and the state storage; these are their
+// instantiations over DynamicGraph and caller-owned dense vectors.
 std::int64_t StandardFormPush(const DynamicGraph& g,
                               const IncrementalPprOptions& options,
                               Vector& p, Vector& r,
                               std::deque<NodeId>& queue,
                               std::vector<char>& queued,
                               SolverDiagnostics& diagnostics) {
-  return StandardFormPushOver(g, options, p, r, queue, queued, diagnostics);
+  IMPREG_CHECK(p.size() == static_cast<std::size_t>(g.NumNodes()));
+  IMPREG_CHECK(r.size() == p.size());
+  IMPREG_CHECK(queued.size() == p.size());
+  DensePushState state{p, r, queue, queued};
+  return StandardFormPushOver(g, options, state, diagnostics);
 }
 
 Vector InvariantResidual(const DynamicGraph& g, const Vector& seed,
                          const Vector& p, double gamma) {
-  return InvariantResidualOver(g, seed, p, gamma);
+  IMPREG_CHECK(seed.size() == static_cast<std::size_t>(g.NumNodes()));
+  IMPREG_CHECK(p.size() == seed.size());
+  Vector r = seed;
+  DenseResidualState state{r};
+  InvariantResidualOver(g, p, std::views::iota(NodeId{0}, g.NumNodes()),
+                        gamma, state);
+  return r;
 }
 
 IncrementalPersonalizedPageRank::IncrementalPersonalizedPageRank(

@@ -57,8 +57,9 @@ struct IncrementalPprOptions {
 /// 256-push boundary once the budget exhausts (queue and flags are left
 /// consistent, so a later call resumes). Fills `diagnostics`
 /// (kConverged or kBudgetExhausted) and returns the pushes performed.
-/// Used by IncrementalPersonalizedPageRank and the query engine's
-/// warm-restart path.
+/// Used by IncrementalPersonalizedPageRank; the query engine runs the
+/// same loop (StandardFormPushOver, streaming/push_kernel.h) over a
+/// per-thread workspace that costs O(touched) instead of O(n).
 std::int64_t StandardFormPush(const DynamicGraph& g,
                               const IncrementalPprOptions& options,
                               Vector& p, Vector& r,

@@ -1,6 +1,7 @@
 #ifndef IMPREG_STREAMING_PUSH_KERNEL_H_
 #define IMPREG_STREAMING_PUSH_KERNEL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -14,15 +15,28 @@
 #include "util/check.h"
 
 /// \file
-/// The standard-form push kernel as a template over the graph
-/// adjacency provider. Its one provider is `DynamicGraph`:
-/// `StandardFormPush` (incremental_ppr.cc) is a thin instantiation
-/// over it. The instruction sequence does not depend on how rows are
-/// stored, so any provider that serves the same row and degree bits
-/// answers the same bits.
+/// The standard-form push kernel and the invariant residual, as
+/// templates over the graph adjacency provider and over the storage of
+/// the push state. The one provider is `DynamicGraph`. There are two
+/// storages:
+///
+///  - `DensePushState`: caller-owned n-vectors. `StandardFormPush` and
+///    `InvariantResidual` (incremental_ppr.cc) instantiate the kernels
+///    over it.
+///  - `PushWorkspace`: reusable per-thread arrays plus a list of the
+///    nodes written since the last `Clear()`, which zeroes only those.
+///    The query engine pushes in it, so a query costs O(touched), not
+///    O(n), once the arrays exist.
+///
+/// The instruction sequence depends on neither choice: both storages
+/// run the same arithmetic in the same order and answer the same bits.
 ///
 /// Requirements on `G`: `NumNodes()`, `Degree(u)` (double), and
 /// `Neighbors(u)` returning a range of items with `.head`/`.weight`.
+/// Requirements on the push state: indexable `p`, `r` and `queued`
+/// covering every node, a FIFO `queue` (`push_back`, `front`,
+/// `pop_front`, `empty`), and `Touch(u)`, which the kernels call before
+/// they write a node's residual.
 ///
 /// The kernel carries *signed* residuals and spreads nothing from
 /// zero-degree nodes, so it serves positive and negative updates
@@ -41,6 +55,18 @@ inline double PushThresholdOver(const G& g, NodeId u, double epsilon) {
   return d > 0.0 ? epsilon * d : epsilon;
 }
 
+// Queues u unless it is queued already or its residual is under its
+// threshold.
+template <typename G, typename State>
+inline void EnqueueIfOverThreshold(const G& g, State& s, NodeId u,
+                                   double epsilon) {
+  if (s.queued[u]) return;
+  if (std::abs(s.r[u]) >= PushThresholdOver(g, u, epsilon)) {
+    s.queue.push_back(u);
+    s.queued[u] = 1;
+  }
+}
+
 inline int SaturateToInt(std::int64_t v) {
   return v > std::numeric_limits<int>::max()
              ? std::numeric_limits<int>::max()
@@ -49,37 +75,111 @@ inline int SaturateToInt(std::int64_t v) {
 
 }  // namespace push_internal
 
-/// Shared standard-form push kernel over any adjacency provider `G`.
-/// Semantics, trace stream ("incremental_ppr"), metrics, and
-/// floating-point operation order are exactly those of
+/// Push state in caller-owned dense vectors of length n. Every node
+/// counts as touched, so `Touch` does nothing.
+struct DensePushState {
+  Vector& p;
+  Vector& r;
+  std::deque<NodeId>& queue;
+  std::vector<char>& queued;
+  static void Touch(NodeId) {}
+};
+
+/// A residual in a caller-owned dense vector, for InvariantResidualOver.
+struct DenseResidualState {
+  Vector& r;
+  static void Touch(NodeId) {}
+};
+
+/// Push state whose per-query cost is O(touched). The arrays cover the
+/// largest graph seen so far and are zero outside the touched list
+/// between queries. Not thread-safe: keep one per thread.
+class PushWorkspace {
+ public:
+  /// Grows the arrays to cover `n` nodes (they never shrink). Call it
+  /// only while the workspace is clean.
+  void Reserve(NodeId n) {
+    const std::size_t size = static_cast<std::size_t>(n);
+    if (p.size() >= size) return;
+    p.resize(size, 0.0);
+    r.resize(size, 0.0);
+    queued.resize(size, 0);
+    is_touched_.resize(size, 0);
+  }
+
+  /// Records that `u`'s state is about to be written.
+  void Touch(NodeId u) {
+    if (is_touched_[u]) return;
+    is_touched_[u] = 1;
+    touched_.push_back(u);
+  }
+
+  /// The nodes written since the last Clear(), in ascending id order.
+  const std::vector<NodeId>& SortedTouched() {
+    std::sort(touched_.begin(), touched_.end());
+    return touched_;
+  }
+
+  /// Zeroes every touched node and drops the queue, including what a
+  /// budget-stopped push left in it. O(touched). The next query gets a
+  /// fresh queue, as a local one would be, so what a query allocates
+  /// depends on that query alone.
+  void Clear() {
+    for (const NodeId u : touched_) {
+      p[u] = 0.0;
+      r[u] = 0.0;
+      queued[u] = 0;
+      is_touched_[u] = 0;
+    }
+    touched_.clear();
+    queue = std::deque<NodeId>();
+  }
+
+  Vector p;
+  Vector r;
+  std::deque<NodeId> queue;
+  std::vector<char> queued;
+
+ private:
+  std::vector<NodeId> touched_;
+  std::vector<char> is_touched_;
+};
+
+/// Queues, in the order given, every node of `nodes` whose residual is
+/// at or over its threshold — the start of a push. Pass the nodes that
+/// can carry residual in ascending id order (a dense caller passes all
+/// of them), and the queue is the one a full ascending scan builds.
+template <typename G, typename State, typename Nodes>
+void EnqueueOverThreshold(const G& g, State& s, const Nodes& nodes,
+                          double epsilon) {
+  for (const NodeId u : nodes) {
+    push_internal::EnqueueIfOverThreshold(g, s, u, epsilon);
+  }
+}
+
+/// Shared standard-form push kernel over any adjacency provider `G`
+/// and push state `State`. Semantics, trace stream ("incremental_ppr"),
+/// metrics, and floating-point operation order are exactly those of
 /// `StandardFormPush` — see streaming/incremental_ppr.h for the
-/// contract. Instantiated over `DynamicGraph` it *is* that function.
-template <typename G>
+/// contract. Instantiated over (`DynamicGraph`, `DensePushState`) it
+/// *is* that function.
+template <typename G, typename State>
 std::int64_t StandardFormPushOver(const G& g,
                                   const IncrementalPprOptions& options,
-                                  Vector& p, Vector& r,
-                                  std::deque<NodeId>& queue,
-                                  std::vector<char>& queued,
-                                  SolverDiagnostics& diagnostics) {
+                                  State& s, SolverDiagnostics& diagnostics) {
   IMPREG_CHECK(options.gamma > 0.0 && options.gamma < 1.0);
   IMPREG_CHECK(options.epsilon > 0.0);
-  IMPREG_CHECK(p.size() == static_cast<std::size_t>(g.NumNodes()));
-  IMPREG_CHECK(r.size() == p.size());
-  IMPREG_CHECK(queued.size() == p.size());
+  const std::size_t n = static_cast<std::size_t>(g.NumNodes());
+  IMPREG_CHECK(s.p.size() >= n && s.r.size() >= n && s.queued.size() >= n);
 
   SolverTrace* trace = IMPREG_TRACE_BEGIN("incremental_ppr");
   const auto enqueue = [&](NodeId u) {
-    if (queued[u]) return;
-    if (std::abs(r[u]) >=
-        push_internal::PushThresholdOver(g, u, options.epsilon)) {
-      queue.push_back(u);
-      queued[u] = 1;
-    }
+    push_internal::EnqueueIfOverThreshold(g, s, u, options.epsilon);
   };
 
   std::int64_t pushes = 0;
   bool budget_stop = false;
-  while (!queue.empty()) {
+  while (!s.queue.empty()) {
     if (options.budget != nullptr && (pushes & 255) == 0 &&
         options.budget->Exhausted()) {
       budget_stop = true;
@@ -87,27 +187,28 @@ std::int64_t StandardFormPushOver(const G& g,
                          static_cast<double>(options.budget->Spent()));
       break;
     }
-    const NodeId u = queue.front();
-    queue.pop_front();
-    queued[u] = 0;
+    const NodeId u = s.queue.front();
+    s.queue.pop_front();
+    s.queued[u] = 0;
     const double d = g.Degree(u);
     const double threshold =
         push_internal::PushThresholdOver(g, u, options.epsilon);
-    const double residual = r[u];
+    const double residual = s.r[u];
     if (std::abs(residual) < threshold) continue;
 
     // push(u): p gains γ·r, the rest spreads through column u of M
     // (nothing spreads from an isolated node — M annihilates it).
-    p[u] += options.gamma * residual;
-    r[u] = 0.0;
+    s.p[u] += options.gamma * residual;
+    s.r[u] = 0.0;
     std::int64_t arcs = 0;
     if (d > 0.0) {
       const double spread = (1.0 - options.gamma) * residual / d;
       const auto& neighbors = g.Neighbors(u);
       arcs = static_cast<std::int64_t>(neighbors.size());
-      for (const auto& n : neighbors) {
-        r[n.head] += spread * n.weight;
-        enqueue(n.head);
+      for (const auto& nb : neighbors) {
+        s.Touch(nb.head);
+        s.r[nb.head] += spread * nb.weight;
+        enqueue(nb.head);
       }
     }
     enqueue(u);  // Self-loops can re-raise r(u).
@@ -133,30 +234,32 @@ std::int64_t StandardFormPushOver(const G& g,
   return pushes;
 }
 
-/// Invariant residual r = s + ((1−γ)/γ)·M p − (1/γ)·p over any
-/// adjacency provider `G` — see streaming/incremental_ppr.h.
-template <typename G>
-Vector InvariantResidualOver(const G& g, const Vector& seed, const Vector& p,
-                             double gamma) {
+/// Adds ((1−γ)/γ)·M p − (1/γ)·p to the residual `s.r`, which holds the
+/// seed on entry, over any adjacency provider `G` — see
+/// InvariantResidual in streaming/incremental_ppr.h. `support` lists
+/// every node where p may be nonzero, in ascending id order (the dense
+/// instantiation lists all nodes); the sums run in that order, so a
+/// sparse support answers the dense bits.
+template <typename G, typename Nodes, typename State>
+void InvariantResidualOver(const G& g, const Vector& p, const Nodes& support,
+                           double gamma, State& s) {
   IMPREG_CHECK(gamma > 0.0 && gamma < 1.0);
-  IMPREG_CHECK(seed.size() == static_cast<std::size_t>(g.NumNodes()));
-  IMPREG_CHECK(p.size() == seed.size());
   const double k = (1.0 - gamma) / gamma;
-  Vector r = seed;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+  for (const NodeId u : support) {
     const double pu = p[u];
     if (pu == 0.0) continue;
-    r[u] -= pu / gamma;
+    s.Touch(u);
+    s.r[u] -= pu / gamma;
     const double d = g.Degree(u);
     if (d > 0.0) {
       // Column u of M scatters k·p(u)·w(u,v)/d(u) onto each neighbor v.
       const double scale = k * pu / d;
-      for (const auto& n : g.Neighbors(u)) {
-        r[n.head] += scale * n.weight;
+      for (const auto& nb : g.Neighbors(u)) {
+        s.Touch(nb.head);
+        s.r[nb.head] += scale * nb.weight;
       }
     }
   }
-  return r;
 }
 
 }  // namespace impreg

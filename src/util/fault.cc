@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/work_budget.h"
+#include "linalg/sparse_vector.h"
 
 namespace impreg::fault {
 
@@ -48,6 +49,43 @@ bool ShouldInject(State& state, const char* site) {
     return false;
   }
   ++state.injections;
+  return true;
+}
+
+// The entry a vector hook poisons: a seeded hash of the site name,
+// reduced modulo the entry count (`size` > 0).
+std::size_t PoisonIndex(const char* site, std::uint64_t seed,
+                        std::size_t size) {
+  return static_cast<std::size_t>(
+      (Fnv1a(site) ^ (seed * 0x9e3779b97f4a7c15ULL)) % size);
+}
+
+// Applies `kind` to one value (budget faults leave it alone).
+void Poison(FaultKind kind, double& x) {
+  switch (kind) {
+    case FaultKind::kNaN:
+      x = std::numeric_limits<double>::quiet_NaN();
+      break;
+    case FaultKind::kInf:
+      x = std::numeric_limits<double>::infinity();
+      break;
+    case FaultKind::kPerturb:
+      x = -1e6 * x - 1.0;
+      break;
+    case FaultKind::kBudget:
+      break;  // Budget faults only make sense on budget hooks.
+  }
+}
+
+// The vector hooks' gate: true, with the armed kind and seed, when
+// this hit injects.
+bool ShouldInjectVector(const char* site, FaultKind* kind,
+                        std::uint64_t* seed) {
+  State& state = GetState();
+  std::lock_guard<std::mutex> lock(state.mu);
+  if (!ShouldInject(state, site)) return false;
+  *kind = state.kind;
+  *seed = state.seed;
   return true;
 }
 
@@ -109,32 +147,17 @@ std::vector<std::string> StopRecording() {
 namespace internal {
 
 void Hit(const char* site, std::vector<double>& v) {
-  State& state = GetState();
   FaultKind kind;
   std::uint64_t seed;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (!ShouldInject(state, site)) return;
-    kind = state.kind;
-    seed = state.seed;
-  }
-  if (v.empty()) return;
-  const std::size_t index =
-      static_cast<std::size_t>((Fnv1a(site) ^ (seed * 0x9e3779b97f4a7c15ULL)) %
-                               v.size());
-  switch (kind) {
-    case FaultKind::kNaN:
-      v[index] = std::numeric_limits<double>::quiet_NaN();
-      break;
-    case FaultKind::kInf:
-      v[index] = std::numeric_limits<double>::infinity();
-      break;
-    case FaultKind::kPerturb:
-      v[index] = -1e6 * v[index] - 1.0;
-      break;
-    case FaultKind::kBudget:
-      break;  // Budget faults only make sense on budget hooks.
-  }
+  if (!ShouldInjectVector(site, &kind, &seed) || v.empty()) return;
+  Poison(kind, v[PoisonIndex(site, seed, v.size())]);
+}
+
+void Hit(const char* site, std::vector<SparseEntry>& v) {
+  FaultKind kind;
+  std::uint64_t seed;
+  if (!ShouldInjectVector(site, &kind, &seed) || v.empty()) return;
+  Poison(kind, v[PoisonIndex(site, seed, v.size())].value);
 }
 
 void Hit(const char* site, double& x) {
@@ -145,19 +168,7 @@ void Hit(const char* site, double& x) {
     if (!ShouldInject(state, site)) return;
     kind = state.kind;
   }
-  switch (kind) {
-    case FaultKind::kNaN:
-      x = std::numeric_limits<double>::quiet_NaN();
-      break;
-    case FaultKind::kInf:
-      x = std::numeric_limits<double>::infinity();
-      break;
-    case FaultKind::kPerturb:
-      x = -1e6 * x - 1.0;
-      break;
-    case FaultKind::kBudget:
-      break;
-  }
+  Poison(kind, x);
 }
 
 void Hit(const char* site, WorkBudget* budget) {

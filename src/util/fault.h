@@ -33,6 +33,7 @@
 namespace impreg {
 
 class WorkBudget;
+struct SparseEntry;
 
 namespace fault {
 
@@ -69,6 +70,9 @@ std::vector<std::string> StopRecording();
 namespace internal {
 
 void Hit(const char* site, std::vector<double>& v);
+/// Sparse form: the poisoned entry is chosen among the stored entries
+/// by the same hash, so the site poisons what is actually kept.
+void Hit(const char* site, std::vector<SparseEntry>& v);
 void Hit(const char* site, double& x);
 void Hit(const char* site, WorkBudget* budget);
 
@@ -77,9 +81,9 @@ void Hit(const char* site, WorkBudget* budget);
 }  // namespace impreg
 
 #ifdef IMPREG_FAULT_INJECTION
-/// Named fault point. `target` is a Vector&, a double lvalue, or a
-/// WorkBudget* (nullptr ok — budget hooks on an unlimited driver are
-/// silently skipped but still recorded).
+/// Named fault point. `target` is a Vector&, a SparseVector&, a double
+/// lvalue, or a WorkBudget* (nullptr ok — budget hooks on an unlimited
+/// driver are silently skipped but still recorded).
 #define IMPREG_FAULT_POINT(site, target) \
   ::impreg::fault::internal::Hit(site, target)
 #else

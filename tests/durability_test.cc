@@ -516,18 +516,19 @@ TEST(DurabilityTest, SnapshotRoundTripIsBitIdentical) {
     EXPECT_EQ(got.key, *exported[i].key);
     EXPECT_EQ(got.warm_key, *exported[i].warm_key);
     const CachedResult& want = *exported[i].result;
-    ASSERT_EQ(got.result.scores.size(), want.scores.size());
-    for (std::size_t j = 0; j < want.scores.size(); ++j) {
-      EXPECT_EQ(Bits(got.result.scores[j]), Bits(want.scores[j]));
-    }
+    const auto expect_sparse_bits = [](const SparseVector& got_v,
+                                       const SparseVector& want_v) {
+      ASSERT_EQ(got_v.size(), want_v.size());
+      for (std::size_t j = 0; j < want_v.size(); ++j) {
+        EXPECT_EQ(got_v[j].node, want_v[j].node);
+        EXPECT_EQ(Bits(got_v[j].value), Bits(want_v[j].value));
+      }
+    };
+    expect_sparse_bits(got.result.scores, want.scores);
     EXPECT_EQ(got.result.status, want.status);
     EXPECT_EQ(got.result.has_state, want.has_state);
-    ASSERT_EQ(got.result.p.size(), want.p.size());
-    ASSERT_EQ(got.result.r.size(), want.r.size());
-    for (std::size_t j = 0; j < want.p.size(); ++j) {
-      EXPECT_EQ(Bits(got.result.p[j]), Bits(want.p[j]));
-      EXPECT_EQ(Bits(got.result.r[j]), Bits(want.r[j]));
-    }
+    expect_sparse_bits(got.result.p, want.p);
+    expect_sparse_bits(got.result.r, want.r);
     EXPECT_EQ(got.result.epoch, want.epoch);
     EXPECT_EQ(Bits(got.result.epsilon), Bits(want.epsilon));
   }
@@ -581,6 +582,73 @@ TEST(DurabilityTest, CorruptSnapshotIsRejectedNeverLoaded) {
   WriteFileBytes(written.path, clean);
   EXPECT_EQ(durability::LoadSnapshot(written.path).status,
             SolveStatus::kConverged);
+}
+
+TEST(DurabilityTest, SparsePayloadOutsideTheGraphIsRejected) {
+  // A checksum-clean image whose sparse cache payload names a node the
+  // graph does not have, or repeats a node, must be rejected: a restore
+  // would scatter it past the end of a dense response.
+  const fs::path dir = FreshDir("impreg_snapshot_sparse_nodes");
+  const DynamicGraph graph = ReferenceGraph(1);
+  const NodeId n = graph.NumNodes();
+  for (const SparseVector& bad :
+       {SparseVector{{0, 0.5}, {n, 0.25}}, SparseVector{{3, 0.5}, {3, 0.25}},
+        SparseVector{{-1, 0.5}}}) {
+    ResultCache cache(4);
+    CachedResult result;
+    result.scores = {{0, 1.0}};
+    result.has_state = true;
+    result.p = {{0, 1.0}};
+    result.r = bad;
+    ASSERT_TRUE(cache.Insert("k", "warm", std::move(result)));
+    const durability::SnapshotWriteResult written = durability::WriteSnapshot(
+        (dir / "snapshots").string(), 1, graph, cache.ExportEntries());
+    ASSERT_EQ(written.status, SolveStatus::kConverged) << written.detail;
+    const durability::SnapshotLoadResult loaded =
+        durability::LoadSnapshot(written.path);
+    EXPECT_EQ(loaded.status, SolveStatus::kInvalidInput);
+    EXPECT_EQ(loaded.detail, "snapshot payload malformed");
+  }
+}
+
+TEST(DurabilityTest, OlderSnapshotVersionIsRejectedAndTheWalReplayed) {
+  const fs::path dir = FreshDir("impreg_snapshot_v2");
+  const std::string wal_path = (dir / "wal.log").string();
+  const std::string snap_dir = (dir / "snapshots").string();
+  WriteFullWal(wal_path);
+  const auto engine = ReferenceEngine(4);
+  engine->RunBatch(ServingBatch());
+  const durability::SnapshotWriteResult written = durability::WriteSnapshot(
+      snap_dir, 4, engine->graph(), engine->cache().ExportEntries());
+  ASSERT_EQ(written.status, SolveStatus::kConverged) << written.detail;
+  ASSERT_EQ(durability::LoadSnapshot(written.path).status,
+            SolveStatus::kConverged);
+
+  // Stamp the image as version 2 (the dense-payload format). The
+  // checksum covers only the payload, so the version alone rejects it.
+  std::string bytes = ReadFileBytes(written.path);
+  ASSERT_EQ(bytes[8], 3);
+  bytes[8] = 2;
+  WriteFileBytes(written.path, bytes);
+  const durability::SnapshotLoadResult loaded =
+      durability::LoadSnapshot(written.path);
+  EXPECT_EQ(loaded.status, SolveStatus::kInvalidInput);
+  EXPECT_EQ(loaded.detail, "unsupported snapshot version");
+
+  // Recovery replays the whole WAL onto the base graph, reports the
+  // rejected snapshot as kBreakdown, and serves what a process that
+  // never crashed serves.
+  durability::RecoveryOptions ropts;
+  ropts.wal_path = wal_path;
+  ropts.snapshot_dir = snap_dir;
+  std::unique_ptr<QueryEngine> recovered;
+  const durability::RecoveryReport report = durability::RecoverEngine(
+      DynamicGraph::FromGraph(BaseGraph()), {}, ropts, &recovered);
+  EXPECT_EQ(report.snapshots_rejected, 1);
+  EXPECT_EQ(report.snapshot_epoch, -1);  // None loaded.
+  EXPECT_EQ(report.replayed, 8);
+  EXPECT_EQ(report.cache_restored, 0);
+  ExpectRecoveredMatchesReference(ropts, 8, SolveStatus::kBreakdown);
 }
 
 // ——— Recovery ladder ———

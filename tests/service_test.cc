@@ -5,7 +5,9 @@
 // determinism_test.cc; the fault-containment path of the cache insert
 // in robustness_test.cc.
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/solve_status.h"
+#include "core/work_budget.h"
 #include "diffusion/pagerank.h"
 #include "graph/generators.h"
 #include "graph/random_graphs.h"
@@ -23,6 +27,7 @@
 #include "service/result_cache.h"
 #include "service/wire.h"
 #include "streaming/dynamic_graph.h"
+#include "streaming/incremental_ppr.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -31,7 +36,7 @@ namespace {
 
 CachedResult MakeResult(double value) {
   CachedResult result;
-  result.scores = {value, value / 2.0};
+  result.scores = {{0, value}, {1, value / 2.0}};
   return result;
 }
 
@@ -43,7 +48,7 @@ TEST(ResultCacheTest, HitAndMissCountsAreExact) {
   EXPECT_TRUE(cache.Insert("a", "", MakeResult(1.0)));
   const CachedResult* hit = cache.Lookup("a");
   ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->scores[0], 1.0);
+  EXPECT_DOUBLE_EQ(hit->scores[0].value, 1.0);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().insertions, 1);
@@ -68,7 +73,7 @@ TEST(ResultCacheTest, FifoEvictionBoundsSizeAndDropsOldestInsertion) {
 TEST(ResultCacheTest, NonFinitePayloadIsRejectedNotStored) {
   ResultCache cache(4);
   CachedResult poisoned = MakeResult(1.0);
-  poisoned.scores[1] = std::nan("");
+  poisoned.scores[1].value = std::nan("");
   EXPECT_FALSE(cache.Insert("a", "", std::move(poisoned)));
   EXPECT_EQ(cache.Size(), 0u);
   EXPECT_EQ(cache.stats().rejected, 1);
@@ -76,8 +81,8 @@ TEST(ResultCacheTest, NonFinitePayloadIsRejectedNotStored) {
 
   CachedResult bad_state = MakeResult(1.0);
   bad_state.has_state = true;
-  bad_state.p = {1.0};
-  bad_state.r = {std::numeric_limits<double>::infinity()};
+  bad_state.p = {{0, 1.0}};
+  bad_state.r = {{0, std::numeric_limits<double>::infinity()}};
   EXPECT_FALSE(cache.Insert("b", "warm", std::move(bad_state)));
   EXPECT_EQ(cache.stats().rejected, 2);
 }
@@ -86,8 +91,8 @@ TEST(ResultCacheTest, WarmIndexTracksLatestStatefulEntryAndEviction) {
   ResultCache cache(2);
   CachedResult first = MakeResult(1.0);
   first.has_state = true;
-  first.p = {1.0};
-  first.r = {0.5};
+  first.p = {{0, 1.0}};
+  first.r = {{0, 0.5}};
   first.epoch = 0;
   cache.Insert("k0", "warm", std::move(first));
   ASSERT_NE(cache.WarmLookup("warm"), nullptr);
@@ -95,8 +100,8 @@ TEST(ResultCacheTest, WarmIndexTracksLatestStatefulEntryAndEviction) {
 
   CachedResult second = MakeResult(2.0);
   second.has_state = true;
-  second.p = {2.0};
-  second.r = {0.25};
+  second.p = {{0, 2.0}};
+  second.r = {{0, 0.25}};
   second.epoch = 1;
   cache.Insert("k1", "warm", std::move(second));
   // Latest insertion wins the warm slot.
@@ -116,8 +121,8 @@ TEST(ResultCacheTest, ReplaceInPlaceDroppingStateClearsTheWarmSlot) {
   ResultCache cache(4);
   CachedResult stateful = MakeResult(1.0);
   stateful.has_state = true;
-  stateful.p = {1.0};
-  stateful.r = {0.5};
+  stateful.p = {{0, 1.0}};
+  stateful.r = {{0, 0.5}};
   cache.Insert("k", "warm", std::move(stateful));
   ASSERT_NE(cache.WarmLookup("warm"), nullptr);
 
@@ -127,21 +132,21 @@ TEST(ResultCacheTest, ReplaceInPlaceDroppingStateClearsTheWarmSlot) {
   cache.Insert("k", "warm", MakeResult(2.0));
   EXPECT_EQ(cache.WarmLookup("warm"), nullptr);
   ASSERT_NE(cache.Lookup("k"), nullptr);
-  EXPECT_DOUBLE_EQ(cache.Lookup("k")->scores[0], 2.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup("k")->scores[0].value, 2.0);
 }
 
 TEST(ResultCacheTest, WarmSlotHandsOffBetweenEntriesSharingAKey) {
   ResultCache cache(4);
   CachedResult first = MakeResult(1.0);
   first.has_state = true;
-  first.p = {1.0};
-  first.r = {0.5};
+  first.p = {{0, 1.0}};
+  first.r = {{0, 0.5}};
   first.epoch = 0;
   cache.Insert("k0", "warm", std::move(first));
   CachedResult second = MakeResult(2.0);
   second.has_state = true;
-  second.p = {2.0};
-  second.r = {0.25};
+  second.p = {{0, 2.0}};
+  second.r = {{0, 0.25}};
   second.epoch = 1;
   cache.Insert("k1", "warm", std::move(second));
   ASSERT_NE(cache.WarmLookup("warm"), nullptr);
@@ -159,8 +164,8 @@ TEST(ResultCacheTest, WarmSlotHandsOffBetweenEntriesSharingAKey) {
   // insertion.
   CachedResult again = MakeResult(4.0);
   again.has_state = true;
-  again.p = {4.0};
-  again.r = {0.125};
+  again.p = {{0, 4.0}};
+  again.r = {{0, 0.125}};
   again.epoch = 2;
   cache.Insert("k0", "warm", std::move(again));
   ASSERT_NE(cache.WarmLookup("warm"), nullptr);
@@ -176,8 +181,8 @@ TEST(ResultCacheTest, RegionInvalidationDemotesStatefulEvictsStateless) {
 
   CachedResult stateful = MakeResult(2.0);
   stateful.has_state = true;
-  stateful.p = {1.0};
-  stateful.r = {0.5};
+  stateful.p = {{0, 1.0}};
+  stateful.r = {{0, 0.5}};
   stateful.region.Reset();
   stateful.region.Add(1);
   stateful.region.Add(2);
@@ -195,9 +200,9 @@ TEST(ResultCacheTest, RegionInvalidationDemotesStatefulEvictsStateless) {
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   EXPECT_EQ(cache.Lookup("b"), nullptr);
   ASSERT_NE(cache.WarmLookup("warm-b"), nullptr);
-  EXPECT_DOUBLE_EQ(cache.WarmLookup("warm-b")->scores[0], 2.0);
+  EXPECT_DOUBLE_EQ(cache.WarmLookup("warm-b")->scores[0].value, 2.0);
   ASSERT_NE(cache.Lookup("c"), nullptr);
-  EXPECT_DOUBLE_EQ(cache.Lookup("c")->scores[0], 3.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup("c")->scores[0].value, 3.0);
   EXPECT_EQ(cache.stats().region_evicted, 1);
   EXPECT_EQ(cache.stats().region_demoted, 1);
   EXPECT_EQ(cache.stats().region_retained, 1);
@@ -694,6 +699,69 @@ TEST(QueryEngineTest, BudgetExhaustedQueryIsMarkedDegradedNeverSilent) {
   EXPECT_EQ(replay.source, QuerySource::kCached);
   EXPECT_EQ(replay.status, SolveStatus::kBudgetExhausted);
   EXPECT_TRUE(replay.degraded);
+}
+
+// The answer of a bare dense StandardFormPush: a full ascending scan
+// queues the seeds, and no state is shared with any engine.
+Vector DensePushAnswer(const Graph& g, const Query& q) {
+  const DynamicGraph graph = DynamicGraph::FromGraph(g);
+  const NodeId n = graph.NumNodes();
+  std::vector<NodeId> seeds = q.seeds;
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+  Vector p(n, 0.0);
+  Vector r(n, 0.0);
+  for (NodeId s : seeds) r[s] = 1.0 / static_cast<double>(seeds.size());
+  std::deque<NodeId> queue;
+  std::vector<char> queued(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    const double d = graph.Degree(u);
+    if (std::abs(r[u]) >= (d > 0.0 ? q.epsilon * d : q.epsilon)) {
+      queue.push_back(u);
+      queued[u] = 1;
+    }
+  }
+  WorkBudget budget(q.max_work);
+  IncrementalPprOptions options;
+  options.gamma = q.gamma;
+  options.epsilon = q.epsilon;
+  options.budget = q.max_work > 0 ? &budget : nullptr;
+  SolverDiagnostics diag;
+  StandardFormPush(graph, options, p, r, queue, queued, diag);
+  return p;
+}
+
+TEST(QueryEngineTest, BudgetStoppedPushLeavesNoStateForLaterQueries) {
+  // Pushes run in per-thread workspaces that outlive the query. A push
+  // its budget stops leaves residual, flags and a queue behind; the
+  // next query on that thread must not see any of it. Four stopped
+  // pushes put one on every pool thread; eight later queries reuse
+  // every thread twice.
+  Rng rng(31);
+  const Graph g = ErdosRenyi(400, 0.05, rng);
+  std::vector<Query> stopped;
+  std::vector<Query> later;
+  for (NodeId i = 0; i < 4; ++i) {
+    Query q = PushQuery({i}, 1e-12);
+    q.max_work = 16;
+    stopped.push_back(q);
+  }
+  for (NodeId i = 0; i < 8; ++i) later.push_back(PushQuery({100 + i}, 1e-4));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedNumThreads scoped(threads);
+    QueryEngine engine(g);
+    for (const std::vector<Query>* batch : {&stopped, &later}) {
+      const std::vector<QueryResponse> served = engine.RunBatch(*batch);
+      for (std::size_t i = 0; i < batch->size(); ++i) {
+        EXPECT_EQ(served[i].status, batch == &stopped
+                                        ? SolveStatus::kBudgetExhausted
+                                        : SolveStatus::kConverged);
+        EXPECT_EQ(served[i].scores, DensePushAnswer(g, (*batch)[i]))
+            << "query " << i;
+      }
+    }
+  }
 }
 
 TEST(QueryEngineTest, InvalidQueriesAreRejectedAndNeverCached) {
