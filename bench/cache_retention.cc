@@ -24,7 +24,9 @@
 // a correctness regression even before the diff runs.
 //
 // Usage: cache_retention [--out=PATH]
-//                        (default: bench/out/BENCH_cache_retention.json)
+//   (default: BENCH_cache_retention.json in the build tree; refresh the
+//   checked-in baseline only with
+//   --out=bench/out/BENCH_cache_retention.json)
 
 #include <chrono>
 #include <cstdint>

@@ -25,7 +25,8 @@
 // of gated.
 //
 // Usage: durability_bench [--out=PATH]
-//                         (default: bench/out/BENCH_durability.json)
+//   (default: BENCH_durability.json in the build tree; refresh the
+//   checked-in baseline only with --out=bench/out/BENCH_durability.json)
 
 #include <algorithm>
 #include <chrono>

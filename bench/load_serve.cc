@@ -18,7 +18,9 @@
 // (see the load_serve_report_gate ctest). A copy of this report is
 // checked in at bench/out/BENCH_load_serve.json as the baseline.
 //
-// Usage: load_serve [--out=PATH]   (default: bench/out/BENCH_load_serve.json)
+// Usage: load_serve [--out=PATH]
+//   (default: BENCH_load_serve.json in the build tree; refresh the
+//   checked-in baseline only with --out=bench/out/BENCH_load_serve.json)
 
 #include <cstdio>
 #include <cstdlib>

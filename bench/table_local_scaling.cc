@@ -4,15 +4,39 @@
 // Workload: whiskered social graphs of growing size, each with the same
 // planted 100-node community; seed one community node and cluster with
 // ACL push, ST Nibble, heat-kernel relax, and (as the optimization-
-// approach baseline) the exact PPR solve. Columns: nodes touched and
-// wall time. The paper's shape: the local methods' columns are flat in
-// n; the exact solve grows linearly.
+// approach baseline) the exact PPR solve. Nibble and hk-relax run
+// through their sparse entry points (NibbleSparse,
+// HeatKernelRelaxSparse); the dense wrappers add one O(n) seed cut and
+// answer scatter. Columns: nodes touched and wall time, the best of 5
+// runs. The paper's shape: the local methods' columns are flat in n;
+// the exact solve grows linearly. ACL push still runs on dense p and r,
+// so its time grows with n.
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "core/impreg.h"
 
 using namespace impreg;
+
+namespace {
+
+/// Runs `solve` five times and returns the fastest wall time in ms;
+/// `solve` keeps its last answer. Only the call is timed: the rows'
+/// O(n) support counts run after it.
+template <typename Solve>
+double BestOfFiveMs(Solve&& solve) {
+  double best = std::numeric_limits<double>::max();
+  for (int run = 0; run < 5; ++run) {
+    Timer timer;
+    solve();
+    best = std::min(best, timer.Millis());
+  }
+  return best;
+}
+
+}  // namespace
 
 int main() {
   std::printf("== T5: strongly local methods vs graph size ==\n");
@@ -28,61 +52,58 @@ int main() {
     const SocialGraph social = MakeWhiskeredSocialGraph(params, rng);
     const Graph& g = social.graph;
     const NodeId seed = social.communities[0][0];
-    Timer timer;
 
     {
-      timer.Reset();
       PushOptions options;
       options.alpha = 0.05;
       options.epsilon = 2e-5;
-      const LocalClusterResult r = PushLocalCluster(g, seed, options);
+      LocalClusterResult r;
+      const double ms =
+          BestOfFiveMs([&] { r = PushLocalCluster(g, seed, options); });
       table.AddRow({std::to_string(g.NumNodes()), "ACL push",
-                    std::to_string(r.push.support), FormatG(timer.Millis(), 3),
+                    std::to_string(r.push.support), FormatG(ms, 3),
                     std::to_string(r.set.size()),
                     FormatG(r.stats.conductance, 3)});
     }
     {
-      timer.Reset();
       NibbleOptions options;
       options.steps = 50;
       options.epsilon = 2e-5;
-      const NibbleResult r = Nibble(g, seed, options);
-      std::int64_t touched = 0;
-      for (double v : r.distribution) {
-        if (v > 0.0) ++touched;
-      }
+      NibbleResult r;
+      SparseVector walk;
+      const double ms = BestOfFiveMs(
+          [&] { r = NibbleSparse(g, {{seed, 1.0}}, options, walk); });
       table.AddRow({std::to_string(g.NumNodes()), "ST Nibble",
-                    std::to_string(touched), FormatG(timer.Millis(), 3),
-                    std::to_string(r.set.size()),
+                    std::to_string(walk.size()),
+                    FormatG(ms, 3), std::to_string(r.set.size()),
                     FormatG(r.stats.conductance, 3)});
     }
     {
-      timer.Reset();
       HkRelaxOptions options;
       options.t = 12.0;
       options.delta = 1e-5;
-      const HkRelaxResult r = HeatKernelRelax(g, seed, options);
-      std::int64_t touched = 0;
-      for (double v : r.rho) {
-        if (v > 0.0) ++touched;
-      }
+      HkRelaxResult r;
+      SparseVector rho;
+      const double ms = BestOfFiveMs(
+          [&] { r = HeatKernelRelaxSparse(g, {{seed, 1.0}}, options, rho); });
       table.AddRow({std::to_string(g.NumNodes()), "hk-relax",
-                    std::to_string(touched), FormatG(timer.Millis(), 3),
+                    std::to_string(rho.size()), FormatG(ms, 3),
                     std::to_string(r.set.size()),
                     FormatG(r.stats.conductance, 3)});
     }
     {
-      timer.Reset();
       PageRankOptions options;
       options.gamma = StandardTeleportFromLazy(0.05);
-      const PageRankResult exact =
-          PersonalizedPageRankExact(g, SingleNodeSeed(g, seed), options);
-      SweepOptions sweep;
-      sweep.scaling = SweepScaling::kDegreeNormalized;
-      const SweepResult cut =
-          SweepCutOverSupport(g, exact.scores, sweep, 1e-12);
+      SweepResult cut;
+      const double ms = BestOfFiveMs([&] {
+        const PageRankResult exact =
+            PersonalizedPageRankExact(g, SingleNodeSeed(g, seed), options);
+        SweepOptions sweep;
+        sweep.scaling = SweepScaling::kDegreeNormalized;
+        cut = SweepCutOverSupport(g, exact.scores, sweep, 1e-12);
+      });
       table.AddRow({std::to_string(g.NumNodes()), "exact PPR",
-                    std::to_string(g.NumNodes()), FormatG(timer.Millis(), 3),
+                    std::to_string(g.NumNodes()), FormatG(ms, 3),
                     std::to_string(cut.set.size()),
                     FormatG(cut.stats.conductance, 3)});
     }
@@ -90,6 +111,7 @@ int main() {
   table.Print();
   std::printf("\npaper's shape: touched/time flat in n for the local "
               "methods; the exact solve\n(optimization approach) touches "
-              "every node and scales with n.\n");
+              "every node and scales with n. Each time is the best of 5 "
+              "runs.\n");
   return 0;
 }

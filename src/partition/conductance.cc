@@ -17,7 +17,13 @@ CutStats ComputeCutStatsFromMask(const Graph& g,
 }
 
 CutStats ComputeCutStats(const Graph& g, const std::vector<NodeId>& set) {
-  return ComputeCutStatsFromMask(g, NodesToMask(g, set));
+  // Summed in ascending id, whatever order `set` lists its nodes in.
+  if (std::is_sorted(set.begin(), set.end())) {
+    return ComputeCutStatsOver(g, set, ThreadNodeIndex());
+  }
+  std::vector<NodeId> sorted = set;
+  std::sort(sorted.begin(), sorted.end());
+  return ComputeCutStatsOver(g, sorted, ThreadNodeIndex());
 }
 
 double Conductance(const Graph& g, const std::vector<NodeId>& set) {

@@ -25,7 +25,9 @@ struct CutStats {
 };
 
 /// Computes cut statistics for the set given as a node list (ids must be
-/// distinct and valid).
+/// distinct and valid) in O(vol(set) + |set| log |set|), whatever n is,
+/// once the calling thread's NodeIndex covers the graph. vol(S̄) is
+/// TotalVolume() − vol(S) here and in the mask form.
 CutStats ComputeCutStats(const Graph& g, const std::vector<NodeId>& set);
 
 /// Computes cut statistics from a 0/1 membership mask of length n.

@@ -4,17 +4,17 @@
 #include <algorithm>
 #include <vector>
 
+#include "linalg/sparse_vector.h"
 #include "partition/conductance.h"
 #include "util/check.h"
 
 /// \file
-/// Cut-statistics kernels as templates over the adjacency provider, so
-/// the sweep kernel (partition/sweep_kernel.h) keeps the exact
-/// accumulation order of the `Graph` implementations in conductance.cc
-/// over any provider; `Graph` is the one provider today. Requirements
-/// on `G`:
-/// `NumNodes()`, `Degree(u)`, `Heads(u)`/`Weights(u)` spans, and
-/// `IsValidNode(u)`.
+/// Cut-statistics kernels as templates over the adjacency provider;
+/// `Graph` is the one provider today. The set form costs O(vol(set))
+/// and backs ComputeCutStats and every sweep; the mask form backs
+/// ComputeCutStatsFromMask. Both take vol(S̄) = TotalVolume() − vol(S).
+/// Requirements on `G`: `NumNodes()`, `Degree(u)`, `Heads(u)` /
+/// `Weights(u)` spans, `TotalVolume()` and `IsValidNode(u)`.
 
 namespace impreg {
 
@@ -32,10 +32,9 @@ CutStats ComputeCutStatsFromMaskOver(const G& g,
       for (std::size_t i = 0; i < heads.size(); ++i) {
         if (!mask[heads[i]]) stats.cut += weights[i];
       }
-    } else {
-      stats.complement_volume += g.Degree(u);
     }
   }
+  stats.complement_volume = g.TotalVolume() - stats.volume;
   const double denom = std::min(stats.volume, stats.complement_volume);
   stats.conductance = denom > 0.0 ? stats.cut / denom : 1.0;
   return stats;
@@ -53,9 +52,37 @@ std::vector<char> NodesToMaskOver(const G& g,
   return mask;
 }
 
+/// Cut statistics of `set` (distinct valid ids) in O(vol(set)) once
+/// `index` covers the graph: membership is marked in `index`, which
+/// must be clear and is left clear. The sums run over `set` in the
+/// order given, so an ascending set gets the volume and cut the mask
+/// scan gets.
 template <typename G>
-CutStats ComputeCutStatsOver(const G& g, const std::vector<NodeId>& set) {
-  return ComputeCutStatsFromMaskOver(g, NodesToMaskOver(g, set));
+CutStats ComputeCutStatsOver(const G& g, const std::vector<NodeId>& set,
+                             NodeIndex& index) {
+  IMPREG_CHECK(index.empty());
+  index.Reserve(g.NumNodes());
+  for (NodeId u : set) {
+    IMPREG_CHECK(g.IsValidNode(u));
+    IMPREG_CHECK_MSG(index.Find(u) == NodeIndex::kAbsent,
+                     "duplicate node in set");
+    index.Insert(u);
+  }
+  CutStats stats;
+  for (NodeId u : set) {
+    ++stats.size;
+    stats.volume += g.Degree(u);
+    const auto heads = g.Heads(u);
+    const auto weights = g.Weights(u);
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+      if (index.Find(heads[i]) == NodeIndex::kAbsent) stats.cut += weights[i];
+    }
+  }
+  index.Clear();
+  stats.complement_volume = g.TotalVolume() - stats.volume;
+  const double denom = std::min(stats.volume, stats.complement_volume);
+  stats.conductance = denom > 0.0 ? stats.cut / denom : 1.0;
+  return stats;
 }
 
 }  // namespace impreg

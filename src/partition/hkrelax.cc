@@ -6,12 +6,23 @@
 namespace impreg {
 
 // The kernel body lives in partition/hkrelax_kernel.h as a template
-// over the adjacency provider; this `Graph` instantiation is its one
-// provider, bit-identical to the pre-template code.
+// over the adjacency provider; `Graph` is its one provider.
+HkRelaxResult HeatKernelRelaxSparse(const Graph& g, const SparseVector& seed,
+                                    const HkRelaxOptions& options,
+                                    SparseVector& rho) {
+  return HeatKernelRelaxOver(g, seed, options, rho);
+}
+
 HkRelaxResult HeatKernelRelaxFromDistribution(const Graph& g,
                                               const Vector& seed,
                                               const HkRelaxOptions& options) {
-  return HeatKernelRelaxFromDistributionOver(g, seed, options);
+  IMPREG_CHECK(seed.size() == static_cast<std::size_t>(g.NumNodes()));
+  SparseVector rho;
+  HkRelaxResult result =
+      HeatKernelRelaxSparse(g, SparseFromDense(seed), options, rho);
+  result.rho.assign(g.NumNodes(), 0.0);
+  ScatterInto(rho, result.rho);
+  return result;
 }
 
 HkRelaxResult HeatKernelRelax(const Graph& g, NodeId seed,

@@ -6,6 +6,7 @@
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "graph/graph.h"
+#include "linalg/sparse_vector.h"
 #include "linalg/vector_ops.h"
 #include "partition/sweep.h"
 
@@ -43,7 +44,8 @@ struct HkRelaxResult {
   /// Best sweep cut of the approximate heat-kernel vector.
   std::vector<NodeId> set;
   CutStats stats;
-  /// The approximate ρ (nonnegative, mass ≤ 1 for a distribution seed).
+  /// The approximate ρ (nonnegative, mass ≤ 1 for a distribution seed);
+  /// empty from HeatKernelRelaxSparse, which answers it sparse.
   Vector rho;
   /// Mass lost to truncation plus the discarded Poisson tail.
   double dropped_mass = 0.0;
@@ -57,14 +59,24 @@ struct HkRelaxResult {
   SolverDiagnostics diagnostics;
 };
 
-/// Runs the truncated heat-kernel diffusion from a single seed node and
-/// sweeps the result.
-HkRelaxResult HeatKernelRelax(const Graph& g, NodeId seed,
-                              const HkRelaxOptions& options = {});
+/// Runs the truncated heat-kernel diffusion from a sparse seed, (node,
+/// mass) entries in strictly ascending node order (entries with mass
+/// ≤ 0 are ignored), and sweeps the result. Writes ρ's support to `rho`
+/// in ascending node order and leaves `result.rho` empty. This is the
+/// kernel: a solve costs O(vol(support)), whatever n is.
+HkRelaxResult HeatKernelRelaxSparse(const Graph& g, const SparseVector& seed,
+                                    const HkRelaxOptions& options,
+                                    SparseVector& rho);
 
-/// Same, from an arbitrary nonnegative seed distribution.
+/// Same, from an arbitrary nonnegative dense seed distribution, with ρ
+/// dense: it cuts the seed (SparseFromDense), runs the kernel and
+/// scatters ρ, so it also costs O(n).
 HkRelaxResult HeatKernelRelaxFromDistribution(
     const Graph& g, const Vector& seed, const HkRelaxOptions& options = {});
+
+/// Same, from a single seed node.
+HkRelaxResult HeatKernelRelax(const Graph& g, NodeId seed,
+                              const HkRelaxOptions& options = {});
 
 }  // namespace impreg
 

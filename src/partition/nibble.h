@@ -6,6 +6,7 @@
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "graph/graph.h"
+#include "linalg/sparse_vector.h"
 #include "linalg/vector_ops.h"
 #include "partition/sweep.h"
 
@@ -42,7 +43,8 @@ struct NibbleResult {
   CutStats stats;
   /// The step at which the best cut was found (1-based; 0 if none).
   int best_step = 0;
-  /// Final truncated distribution.
+  /// Final truncated distribution; empty from NibbleSparse, which
+  /// answers it sparse.
   Vector distribution;
   /// Total probability mass removed by truncation over the whole run.
   double truncated_mass = 0.0;
@@ -54,13 +56,24 @@ struct NibbleResult {
   SolverDiagnostics diagnostics;
 };
 
-/// Runs the truncated lazy walk from `seed`.
-NibbleResult Nibble(const Graph& g, NodeId seed,
-                    const NibbleOptions& options = {});
+/// Runs the truncated lazy walk from a sparse seed, (node, mass)
+/// entries in strictly ascending node order (entries with mass ≤ 0 are
+/// ignored). Writes the final truncated walk to `distribution` in
+/// ascending node order and leaves `result.distribution` empty. This is
+/// the kernel: a step costs O(vol(support)), whatever n is.
+NibbleResult NibbleSparse(const Graph& g, const SparseVector& seed,
+                          const NibbleOptions& options,
+                          SparseVector& distribution);
 
-/// Same, from an arbitrary nonnegative seed distribution.
+/// Same, from an arbitrary nonnegative dense seed distribution, with the
+/// final walk dense: it cuts the seed (SparseFromDense), runs the kernel
+/// and scatters the walk, so it also costs O(n).
 NibbleResult NibbleFromDistribution(const Graph& g, const Vector& seed,
                                     const NibbleOptions& options = {});
+
+/// Same, from a single seed node.
+NibbleResult Nibble(const Graph& g, NodeId seed,
+                    const NibbleOptions& options = {});
 
 }  // namespace impreg
 

@@ -1,12 +1,13 @@
 #ifndef IMPREG_PARTITION_NIBBLE_KERNEL_H_
 #define IMPREG_PARTITION_NIBBLE_KERNEL_H_
 
-#include <algorithm>
-#include <unordered_map>
+#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/trace.h"
-#include "linalg/vector_ops.h"
+#include "linalg/sparse_vector.h"
 #include "partition/nibble.h"
 #include "partition/sweep_kernel.h"
 #include "util/check.h"
@@ -14,29 +15,42 @@
 
 /// \file
 /// The Nibble lazy-walk kernel as a template over the adjacency
-/// provider — see partition/hkrelax_kernel.h for the bit-identity
-/// argument (the sparse map iteration order depends only on the
-/// insertion sequence, which any provider serving the same bits
-/// reproduces exactly).
+/// provider; nibble.cc instantiates it over `Graph`, its one provider
+/// today. It costs O(vol(support)) per step, whatever n is.
+///
+/// State: the walk is a (node, mass) list. Each step walks it in order
+/// and sums every reached node's contributions into an accumulator at
+/// the node's slot in the calling thread's NodeIndex
+/// (linalg/sparse_vector.h); the truncated result lists the reached
+/// nodes in the order the step first reached them, and the index is
+/// cleared before the step's sweep takes it over. So every sum runs in
+/// an order fixed by the seed and each row's head-sorted arcs alone:
+/// any provider serving the same rows produces a bit-identical walk,
+/// cut and diagnostics, at any thread count. The index is clear on
+/// every exit.
 ///
 /// Requirements on `G`: `NumNodes()`, `Degree(u)`, `OutDegree(u)`,
 /// `Heads(u)`/`Weights(u)` spans, `TotalVolume()`, `IsValidNode(u)`.
 
 namespace impreg {
 
+/// Runs Nibble from `seed`, (node, mass) entries in ascending node
+/// order; entries with mass ≤ 0 are ignored. Writes the final truncated
+/// walk to `distribution` in ascending node order and leaves
+/// `result.distribution` empty.
 template <typename G>
-NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
-                                        const NibbleOptions& options) {
-  IMPREG_CHECK(seed.size() == static_cast<std::size_t>(g.NumNodes()));
+NibbleResult NibbleOver(const G& g, const SparseVector& seed,
+                        const NibbleOptions& options,
+                        SparseVector& distribution) {
   IMPREG_CHECK(options.steps >= 1);
   IMPREG_CHECK(options.epsilon >= 0.0);
   IMPREG_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0);
 
   NibbleResult result;
   result.stats.conductance = 1.0;
+  distribution.clear();
   SolverTrace* trace = IMPREG_TRACE_BEGIN("nibble");
   if (!AllFinite(seed)) {
-    result.distribution.assign(g.NumNodes(), 0.0);
     result.diagnostics.status = SolveStatus::kNonFinite;
     result.diagnostics.detail =
         "seed has non-finite entries; returning no cut";
@@ -44,18 +58,31 @@ NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
     return result;
   }
 
-  // Sparse representation: map node → mass, rebuilt each step. The
-  // truncation keeps the support bounded (≈ mass/(ε·d_min) entries), so
-  // per-step work is independent of n.
-  std::unordered_map<NodeId, double> current;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    if (seed[u] > 0.0) current.emplace(u, seed[u]);
+  // The truncation keeps the support bounded (≈ mass/(ε·d_min)
+  // entries), so per-step work is independent of n.
+  SparseVector current;
+  NodeId previous = -1;
+  for (const SparseEntry& e : seed) {
+    IMPREG_CHECK(g.IsValidNode(e.node) && e.node > previous);
+    previous = e.node;
+    if (e.value > 0.0) current.push_back(e);
   }
   IMPREG_CHECK_MSG(!current.empty(), "seed distribution is empty");
 
-  const double hold = options.alpha;
-  Vector dense(g.NumNodes(), 0.0);
+  NodeIndex& index = ThreadNodeIndex();
+  IMPREG_CHECK(index.empty());
+  index.Reserve(g.NumNodes());
+  std::vector<double> next;  // Per slot: the step's accumulated mass.
+  const auto add = [&](NodeId u, double mass) {
+    std::int32_t s = index.Find(u);
+    if (s == NodeIndex::kAbsent) {
+      s = index.Insert(u);
+      next.push_back(0.0);
+    }
+    next[s] += mass;
+  };
 
+  const double hold = options.alpha;
   bool budget_stop = false;
   bool poisoned = false;
   int steps_done = 0;
@@ -71,20 +98,18 @@ NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
     }
     steps_done = step;
     // One lazy-walk step on the sparse vector.
-    std::unordered_map<NodeId, double> next;
-    next.reserve(current.size() * 2);
     for (const auto& [u, mass] : current) {
       const double d = g.Degree(u);
       if (d <= 0.0) {
-        next[u] += mass;  // Isolated node holds its mass.
+        add(u, mass);  // Isolated node holds its mass.
         continue;
       }
-      next[u] += hold * mass;
+      add(u, hold * mass);
       const double spread = (1.0 - hold) * mass / d;
       const auto heads = g.Heads(u);
       const auto weights = g.Weights(u);
       for (std::size_t i = 0; i < heads.size(); ++i) {
-        next[heads[i]] += spread * weights[i];
+        add(heads[i], spread * weights[i]);
       }
       result.work += g.OutDegree(u);
       if (options.budget != nullptr) options.budget->Charge(g.OutDegree(u));
@@ -93,8 +118,9 @@ NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
     }
     // Truncate: q(u) < ε·d(u) → 0 (the implicit regularization step).
     current.clear();
-    for (const auto& [u, raw_mass] : next) {
-      double mass = raw_mass;
+    for (std::size_t s = 0; s < next.size(); ++s) {
+      const NodeId u = index.Nodes()[s];
+      double mass = next[s];
       IMPREG_FAULT_POINT("nibble/mass", mass);
       const double d = g.Degree(u);
       if (!std::isfinite(mass)) {
@@ -104,30 +130,22 @@ NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
       } else if (d > 0.0 && mass < options.epsilon * d) {
         result.truncated_mass += mass;
       } else if (mass > 0.0) {
-        current.emplace(u, mass);
+        current.push_back({u, mass});
       }
     }
+    index.Clear();
+    next.clear();
     if (poisoned) {
       IMPREG_TRACE_EVENT(trace, step, kFault, result.truncated_mass);
       break;
     }
     if (current.empty()) break;  // Everything truncated away.
 
-    // Sweep the current support only: the dense scratch vector is
-    // written and cleared on the support alone, so the step stays
-    // strongly local.
-    std::vector<NodeId> support_nodes;
-    support_nodes.reserve(current.size());
-    for (const auto& [u, mass] : current) {
-      dense[u] = mass;
-      support_nodes.push_back(u);
-    }
+    // Sweep the current support only.
     SweepOptions sweep;
     sweep.scaling = SweepScaling::kDegreeNormalized;
     sweep.max_volume = options.max_volume;
-    const SweepResult swept =
-        SweepCutOverNodesOver(g, dense, std::move(support_nodes), sweep);
-    for (const auto& [u, mass] : current) dense[u] = 0.0;
+    const SweepResult swept = RunSweepOver(g, current, sweep, index);
     if (!swept.set.empty()) {
       IMPREG_TRACE_EVENT(trace, step, kConductance, swept.stats.conductance);
     }
@@ -139,8 +157,8 @@ NibbleResult NibbleFromDistributionOver(const G& g, const Vector& seed,
     }
   }
 
-  result.distribution.assign(g.NumNodes(), 0.0);
-  for (const auto& [u, mass] : current) result.distribution[u] = mass;
+  distribution = std::move(current);
+  SortByNode(distribution);
   SolverDiagnostics& diag = result.diagnostics;
   if (poisoned) {
     diag.status = SolveStatus::kNonFinite;

@@ -53,27 +53,19 @@ struct SweepResult {
 };
 
 /// Global sweep over all nodes, ordered by descending key. Ties broken
-/// by node id (deterministic). Isolated zero-degree nodes sort last.
+/// by node id (deterministic). Isolated zero-degree nodes (under a
+/// degree scaling) and NaN values sort last.
 SweepResult SweepCut(const Graph& g, const Vector& values,
                      const SweepOptions& options = {});
 
 /// Sweep restricted to the support {u : values[u] > threshold}. The
 /// graph exploration is O(vol(support)), but finding the support scans
-/// `values` once (O(n)); strongly local callers that already know their
-/// support should use SweepCutOverNodes instead.
+/// `values` once (O(n)); the strongly local kernels, which already
+/// know their support, sweep it through RunSweepOver
+/// (partition/sweep_kernel.h) instead.
 SweepResult SweepCutOverSupport(const Graph& g, const Vector& values,
                                 const SweepOptions& options = {},
                                 double threshold = 0.0);
-
-/// Sweep restricted to an explicit candidate node list. Duplicate ids
-/// are dropped (first occurrence wins, order preserved) — they would
-/// otherwise double-count degrees in the prefix volume scan. Touches
-/// only `nodes`, their incident edges, and O(|nodes| log) for the
-/// ordering — fully independent of n (plus an O(n) seen-flag
-/// allocation for the dedup).
-SweepResult SweepCutOverNodes(const Graph& g, const Vector& values,
-                              std::vector<NodeId> nodes,
-                              const SweepOptions& options = {});
 
 }  // namespace impreg
 

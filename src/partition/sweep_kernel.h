@@ -7,17 +7,21 @@
 #include <vector>
 
 #include "core/parallel.h"
+#include "linalg/sparse_vector.h"
 #include "partition/conductance_kernel.h"
 #include "partition/sweep.h"
 #include "util/check.h"
 
 /// \file
-/// The sweep-cut kernel as a template over the adjacency provider.
-/// sweep.cc instantiates it over `Graph` (bit-identical to the
-/// historical implementation), its one provider today. The template
-/// lets the rounding step of hk-relax and Nibble keep the same
-/// accumulation order over the planned pinned `DynamicGraph` view
-/// (ROADMAP.md).
+/// The sweep-cut kernel as a template over the adjacency provider;
+/// sweep.cc instantiates it over `Graph`, its one provider today, and
+/// hk-relax and Nibble sweep their sparse answers with it directly.
+///
+/// `RunSweepOver` is the one sweep loop. It takes (node, value)
+/// candidates and costs O(vol(candidates) + c log c) for c candidates,
+/// whatever n is: ranks and the best set's membership live in the
+/// caller's NodeIndex. Only the dense entry points that must find
+/// their candidates (`SweepCut`, `SweepCutOverSupport`) scan n.
 ///
 /// Requirements on `G`: `NumNodes()`, `Degree(u)`, `Heads(u)` /
 /// `Weights(u)` spans, `TotalVolume()`, `IsValidNode(u)`. The
@@ -28,53 +32,70 @@ namespace impreg {
 
 namespace sweep_internal {
 
+/// The ordering key of `value` at `u`. Isolated nodes under a degree
+/// scaling and NaN values get the lowest finite key, so they sort last
+/// and every key is ordered: a NaN key would break the sort's strict
+/// weak ordering.
 template <typename G>
-double KeyOver(const G& g, const Vector& values, SweepScaling scaling,
-               NodeId u) {
+double KeyOver(const G& g, SweepScaling scaling, NodeId u, double value) {
+  if (std::isnan(value)) return -std::numeric_limits<double>::max();
   const double d = g.Degree(u);
   switch (scaling) {
     case SweepScaling::kRaw:
-      return values[u];
+      return value;
     case SweepScaling::kDegreeNormalized:
-      return d > 0.0 ? values[u] / d : -std::numeric_limits<double>::max();
+      return d > 0.0 ? value / d : -std::numeric_limits<double>::max();
     case SweepScaling::kSqrtDegreeNormalized:
-      return d > 0.0 ? values[u] / std::sqrt(d)
+      return d > 0.0 ? value / std::sqrt(d)
                      : -std::numeric_limits<double>::max();
   }
-  return values[u];
+  return value;
 }
 
 }  // namespace sweep_internal
 
+/// Sweeps `candidates`, (node, value) entries of distinct valid nodes,
+/// in descending key order with ties broken by ascending id. `index`
+/// must be clear and is left clear.
 template <typename G>
-SweepResult RunSweepOver(const G& g, const Vector& values,
-                         std::vector<NodeId> order,
-                         const SweepOptions& options) {
-  IMPREG_CHECK(values.size() == static_cast<std::size_t>(g.NumNodes()));
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return sweep_internal::KeyOver(g, values, options.scaling, a) >
-           sweep_internal::KeyOver(g, values, options.scaling, b);
-  });
+SweepResult RunSweepOver(const G& g, std::vector<SparseEntry> candidates,
+                         const SweepOptions& options, NodeIndex& index) {
+  IMPREG_CHECK(index.empty());
+  index.Reserve(g.NumNodes());
+  // Each value becomes its key in place; (key descending, id
+  // ascending) is a strict total order, so the sweep order does not
+  // depend on the order the candidates came in.
+  for (SparseEntry& c : candidates) {
+    c.value = sweep_internal::KeyOver(g, options.scaling, c.node, c.value);
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const SparseEntry& a, const SparseEntry& b) {
+              if (a.value != b.value) return a.value > b.value;
+              return a.node < b.node;
+            });
 
+  // A node's slot in `index` is its rank in the sweep order. Nodes
+  // outside the order have no slot and never count as set members.
   SweepResult result;
-  result.order = std::move(order);
+  result.order.reserve(candidates.size());
+  for (const SparseEntry& c : candidates) {
+    IMPREG_CHECK_MSG(index.Find(c.node) == NodeIndex::kAbsent,
+                     "duplicate sweep candidate");
+    index.Insert(c.node);
+    result.order.push_back(c.node);
+  }
   result.conductance_profile.reserve(result.order.size());
 
   const double total_volume = g.TotalVolume();
   const std::int64_t count = static_cast<std::int64_t>(result.order.size());
 
-  // Rank of each node in the sweep order; nodes outside the order (the
-  // support variant sweeps a subset) rank past everything and so never
-  // count as set members.
-  std::vector<std::int64_t> rank(g.NumNodes(),
-                                 std::numeric_limits<std::int64_t>::max());
-  for (std::int64_t k = 0; k < count; ++k) rank[result.order[k]] = k;
-
-  // The O(m) part — scanning each node's neighbors to see how the cut
+  // The O(vol) part — scanning each node's neighbors to see how the cut
   // changes when it joins the prefix — is a pure function of the ranks
   // ("is the neighbor earlier in the order?"), so every position is
   // computed independently in parallel. Edges to earlier nodes stop
-  // crossing, all other (non-loop) incident edges start crossing.
+  // crossing, all other (non-loop) incident edges start crossing. The
+  // body reads the caller's index through `ranks`.
+  const NodeIndex& ranks = index;
   Vector cut_delta(count);
   ParallelFor(0, count, 64, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t k = begin; k < end; ++k) {
@@ -84,18 +105,20 @@ SweepResult RunSweepOver(const G& g, const Vector& values,
       const auto heads = g.Heads(u);
       const auto weights = g.Weights(u);
       for (std::size_t i = 0; i < heads.size(); ++i) {
+        const std::int32_t rank = ranks.Find(heads[i]);
         if (heads[i] == u) {
           loops += weights[i];
-        } else if (rank[heads[i]] < k) {
+        } else if (rank != NodeIndex::kAbsent && rank < k) {
           to_set += weights[i];
         }
       }
       cut_delta[k] = g.Degree(u) - loops - 2.0 * to_set;
     }
   });
+  index.Clear();
 
-  // Sequential O(n) prefix scan over the deltas: same accumulation order
-  // as a fully serial sweep, hence bit-identical for any thread count.
+  // Sequential prefix scan over the deltas: same accumulation order as
+  // a fully serial sweep, hence bit-identical for any thread count.
   double volume = 0.0;
   double cut = 0.0;
   double best = std::numeric_limits<double>::max();
@@ -125,7 +148,7 @@ SweepResult RunSweepOver(const G& g, const Vector& values,
     result.set.assign(result.order.begin(),
                       result.order.begin() + best_prefix);
     std::sort(result.set.begin(), result.set.end());
-    result.stats = ComputeCutStatsOver(g, result.set);
+    result.stats = ComputeCutStatsOver(g, result.set, index);
   } else {
     result.stats.conductance = 1.0;
   }
@@ -137,31 +160,11 @@ SweepResult SweepCutOverSupportOver(const G& g, const Vector& values,
                                     const SweepOptions& options,
                                     double threshold) {
   IMPREG_CHECK(values.size() == static_cast<std::size_t>(g.NumNodes()));
-  std::vector<NodeId> support;
+  std::vector<SparseEntry> support;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    if (values[u] > threshold) support.push_back(u);
+    if (values[u] > threshold) support.push_back({u, values[u]});
   }
-  return RunSweepOver(g, values, std::move(support), options);
-}
-
-template <typename G>
-SweepResult SweepCutOverNodesOver(const G& g, const Vector& values,
-                                  std::vector<NodeId> nodes,
-                                  const SweepOptions& options) {
-  // A duplicated id would silently overwrite its rank and add
-  // g.Degree(u) to the prefix volume once per copy, corrupting the
-  // conductance profile and the chosen set — keep the first occurrence
-  // of each id only.
-  std::vector<char> seen(g.NumNodes(), 0);
-  std::size_t kept = 0;
-  for (NodeId u : nodes) {
-    IMPREG_CHECK(g.IsValidNode(u));
-    if (seen[u]) continue;
-    seen[u] = 1;
-    nodes[kept++] = u;
-  }
-  nodes.resize(kept);
-  return RunSweepOver(g, values, std::move(nodes), options);
+  return RunSweepOver(g, std::move(support), options, ThreadNodeIndex());
 }
 
 }  // namespace impreg

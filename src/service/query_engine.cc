@@ -45,12 +45,22 @@ std::string SeedFingerprint(const std::vector<NodeId>& canonical_seeds) {
 }
 
 /// The uniform distribution over canonical seeds, as a dense n-vector
-/// (the hk-relax, Nibble and dense PPR library calls take one).
+/// (the dense PPR library call takes one).
 Vector SeedDistribution(const std::vector<NodeId>& canonical_seeds,
                         NodeId n) {
   Vector seed(n, 0.0);
   const double mass = 1.0 / static_cast<double>(canonical_seeds.size());
   for (NodeId s : canonical_seeds) seed[s] = mass;
+  return seed;
+}
+
+/// The same distribution as sparse entries, for hk-relax and Nibble.
+SparseVector SparseSeedDistribution(
+    const std::vector<NodeId>& canonical_seeds) {
+  SparseVector seed;
+  seed.reserve(canonical_seeds.size());
+  const double mass = 1.0 / static_cast<double>(canonical_seeds.size());
+  for (NodeId s : canonical_seeds) seed.push_back({s, mass});
   return seed;
 }
 
@@ -60,11 +70,11 @@ auto NodesOf(const SparseVector& v) {
                                [](const SparseEntry& e) { return e.node; });
 }
 
-/// This thread's push state. The pool's threads live as long as the
-/// process, so each allocates its arrays once, at the largest graph it
-/// serves.
+/// This thread's push state, over the thread's NodeIndex. The pool's
+/// threads live as long as the process, so each allocates its arrays
+/// once, at the largest graph it serves.
 PushWorkspace& ThreadPushWorkspace() {
-  thread_local PushWorkspace workspace;
+  thread_local PushWorkspace workspace(ThreadNodeIndex());
   return workspace;
 }
 
@@ -148,7 +158,8 @@ struct QueryEngine::WorkItem {
   /// which nothing mutates between the lookups and the inserts.
   const CachedResult* hit = nullptr;
   const CachedResult* warm = nullptr;
-  /// Sparse cut of the response scores, for the cache insert.
+  /// The response scores as a sparse vector, for the cache insert.
+  /// hk-relax and Nibble answer into it directly.
   SparseVector payload;
   /// Push state captured for caching after execution.
   bool has_state = false;
@@ -392,16 +403,13 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.delta = q.delta;
       opts.tail_tolerance = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      HkRelaxResult hk = HeatKernelRelaxFromDistribution(
-          *frozen, SeedDistribution(q.seeds, frozen->NumNodes()), opts);
-      item.response.scores = std::move(hk.rho);
+      HkRelaxResult hk = HeatKernelRelaxSparse(
+          *frozen, SparseSeedDistribution(q.seeds), opts, item.payload);
       item.response.set = std::move(hk.set);
       item.response.conductance = hk.stats.conductance;
       item.response.work = hk.work;
       item.response.status = hk.diagnostics.status;
       item.response.detail = hk.diagnostics.detail;
-      item.response.source = QuerySource::kCold;
-      IMPREG_METRIC_COUNT("service.engine.cold", 1);
       break;
     }
     case QueryMethod::kNibble: {
@@ -411,21 +419,25 @@ void QueryEngine::ExecuteItem(WorkItem& item,
       opts.steps = q.steps;
       opts.epsilon = q.epsilon;
       opts.budget = q.max_work > 0 ? &budget : nullptr;
-      NibbleResult nib = NibbleFromDistribution(
-          *frozen, SeedDistribution(q.seeds, frozen->NumNodes()), opts);
-      item.response.scores = std::move(nib.distribution);
+      NibbleResult nib = NibbleSparse(
+          *frozen, SparseSeedDistribution(q.seeds), opts, item.payload);
       item.response.set = std::move(nib.set);
       item.response.conductance = nib.stats.conductance;
       item.response.work = nib.work;
       item.response.status = nib.diagnostics.status;
       item.response.detail = nib.diagnostics.detail;
-      item.response.source = QuerySource::kCold;
-      IMPREG_METRIC_COUNT("service.engine.cold", 1);
       break;
     }
     case QueryMethod::kPprDense:
       IMPREG_CHECK_MSG(false, "dense queries run through RunDenseGroup");
       break;
+  }
+  if (q.method != QueryMethod::kPprPush) {
+    // The response is dense: the one n-long write of these answers.
+    item.response.scores.assign(frozen->NumNodes(), 0.0);
+    ScatterInto(item.payload, item.response.scores);
+    item.response.source = QuerySource::kCold;
+    IMPREG_METRIC_COUNT("service.engine.cold", 1);
   }
   item.response.degraded =
       item.response.status != SolveStatus::kConverged;
@@ -443,10 +455,10 @@ void QueryEngine::FinishItem(WorkItem& item,
     return;
   }
   if (!item.done) ExecuteItem(item, snap, frozen);
-  // Push cuts its payload from the workspace; the other methods' library
-  // calls answer dense, so their payload is cut here, off the
-  // sequential phases.
-  if (options_.enable_cache && item.query.method != QueryMethod::kPprPush) {
+  // Push cuts its payload from the workspace and hk-relax and Nibble
+  // answer sparse; the dense PPR group answers dense, so its payload is
+  // cut here, off the sequential phases.
+  if (options_.enable_cache && item.query.method == QueryMethod::kPprDense) {
     item.payload = SparseFromDense(item.response.scores);
   }
 }

@@ -32,8 +32,9 @@
 ///    graph's original labels: StandardFormPushOver ("ppr", the loop
 ///    behind StandardFormPush, run in a per-thread PushWorkspace so a
 ///    push costs O(touched), not O(n)), PersonalizedPageRankBatch
-///    ("ppr-dense"), HeatKernelRelaxFromDistribution ("heat-kernel")
-///    and NibbleFromDistribution ("nibble");
+///    ("ppr-dense"), HeatKernelRelaxSparse ("heat-kernel") and
+///    NibbleSparse ("nibble"), the last two from sparse seeds to sparse
+///    answers in O(vol(support));
 ///  - compatible dense solves (same γ, tolerance and iteration cap) are
 ///    grouped into one PersonalizedPageRankBatch call — one adjacency
 ///    traversal per Richardson step for the whole group, each column

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -178,7 +179,9 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
   if (tenant != nullptr) out->query.tenant = tenant->AsString();
   std::int64_t top = 0;
   if (ReadInt(obj, "top", &top)) {
-    out->top = static_cast<int>(std::max<std::int64_t>(top, 0));
+    // Saturates, never wraps: a `top` past INT_MAX ranks the support.
+    out->top = static_cast<int>(std::clamp<std::int64_t>(
+        top, 0, std::numeric_limits<int>::max()));
   }
   return true;
 }
@@ -187,23 +190,36 @@ std::string QueryResponseToJson(const QueryRequest& request,
                                 const QueryResponse& response,
                                 std::int64_t epoch) {
   // Top-k by score descending, node id ascending on ties; only
-  // positive-score nodes compete, and they are the support. Full sort
-  // keeps the order total and replay-stable.
-  const Vector& scores = response.scores;
-  std::vector<std::pair<double, NodeId>> ranked;
-  for (NodeId u = 0; u < static_cast<NodeId>(scores.size()); ++u) {
-    if (scores[u] > 0.0) ranked.emplace_back(scores[u], u);
+  // positive-score nodes compete, and they are the support. The order
+  // is strict and total, so the top k is unique: one scan keeps the k
+  // best seen so far in a heap whose front is the worst of them, and
+  // only those k are sorted. `top` comes from the client, so the heap
+  // is sized by what can be ranked, never by `top` alone.
+  using Ranked = std::pair<double, NodeId>;
+  const auto better = [](const Ranked& a, const Ranked& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  };
+  const std::size_t top = static_cast<std::size_t>(std::max(request.top, 0));
+  const double* scores = response.scores.data();
+  const auto n = static_cast<NodeId>(response.scores.size());
+  std::vector<Ranked> ranked;
+  ranked.reserve(std::min(top, response.scores.size()));
+  std::size_t support = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const double score = scores[u];
+    if (!(score > 0.0)) continue;
+    ++support;
+    if (ranked.size() < top) {
+      ranked.emplace_back(score, u);
+      std::push_heap(ranked.begin(), ranked.end(), better);
+    } else if (top > 0 && better({score, u}, ranked.front())) {
+      std::pop_heap(ranked.begin(), ranked.end(), better);
+      ranked.back() = {score, u};
+      std::push_heap(ranked.begin(), ranked.end(), better);
+    }
   }
-  const std::size_t support = ranked.size();
-  std::sort(ranked.begin(), ranked.end(),
-            [](const std::pair<double, NodeId>& a,
-               const std::pair<double, NodeId>& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  if (static_cast<int>(ranked.size()) > request.top) {
-    ranked.resize(request.top);
-  }
+  std::sort(ranked.begin(), ranked.end(), better);
 
   std::string out = "{\"schema\":\"impreg-query-response-v1\"";
   out += ",\"id\":\"" + EscapeJson(request.id) + "\"";

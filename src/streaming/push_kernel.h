@@ -10,6 +10,7 @@
 
 #include "core/metrics.h"
 #include "core/trace.h"
+#include "linalg/sparse_vector.h"
 #include "linalg/vector_ops.h"
 #include "streaming/incremental_ppr.h"
 #include "util/check.h"
@@ -23,10 +24,10 @@
 ///  - `DensePushState`: caller-owned n-vectors. `StandardFormPush` and
 ///    `InvariantResidual` (incremental_ppr.cc) instantiate the kernels
 ///    over it.
-///  - `PushWorkspace`: reusable per-thread arrays plus a list of the
-///    nodes written since the last `Clear()`, which zeroes only those.
-///    The query engine pushes in it, so a query costs O(touched), not
-///    O(n), once the arrays exist.
+///  - `PushWorkspace`: reusable per-thread arrays plus a NodeIndex of
+///    the nodes written since the last `Clear()`, which zeroes only
+///    those. The query engine pushes in it, so a query costs
+///    O(touched), not O(n), once the arrays exist.
 ///
 /// The instruction sequence depends on neither choice: both storages
 /// run the same arithmetic in the same order and answer the same bits.
@@ -93,45 +94,43 @@ struct DenseResidualState {
 
 /// Push state whose per-query cost is O(touched). The arrays cover the
 /// largest graph seen so far and are zero outside the touched list
-/// between queries. Not thread-safe: keep one per thread.
+/// between queries; the touched list is a NodeIndex, normally the
+/// thread's own (ThreadNodeIndex), which the other strongly local
+/// kernels share. Not thread-safe: keep one per thread.
 class PushWorkspace {
  public:
+  explicit PushWorkspace(NodeIndex& touched) : touched_(touched) {}
+
   /// Grows the arrays to cover `n` nodes (they never shrink). Call it
   /// only while the workspace is clean.
   void Reserve(NodeId n) {
+    touched_.Reserve(n);
     const std::size_t size = static_cast<std::size_t>(n);
     if (p.size() >= size) return;
     p.resize(size, 0.0);
     r.resize(size, 0.0);
     queued.resize(size, 0);
-    is_touched_.resize(size, 0);
   }
 
   /// Records that `u`'s state is about to be written.
   void Touch(NodeId u) {
-    if (is_touched_[u]) return;
-    is_touched_[u] = 1;
-    touched_.push_back(u);
+    if (touched_.Find(u) == NodeIndex::kAbsent) touched_.Insert(u);
   }
 
   /// The nodes written since the last Clear(), in ascending id order.
-  const std::vector<NodeId>& SortedTouched() {
-    std::sort(touched_.begin(), touched_.end());
-    return touched_;
-  }
+  const std::vector<NodeId>& SortedTouched() { return touched_.SortNodes(); }
 
   /// Zeroes every touched node and drops the queue, including what a
   /// budget-stopped push left in it. O(touched). The next query gets a
   /// fresh queue, as a local one would be, so what a query allocates
   /// depends on that query alone.
   void Clear() {
-    for (const NodeId u : touched_) {
+    for (const NodeId u : touched_.Nodes()) {
       p[u] = 0.0;
       r[u] = 0.0;
       queued[u] = 0;
-      is_touched_[u] = 0;
     }
-    touched_.clear();
+    touched_.Clear();
     queue = std::deque<NodeId>();
   }
 
@@ -141,8 +140,7 @@ class PushWorkspace {
   std::vector<char> queued;
 
  private:
-  std::vector<NodeId> touched_;
-  std::vector<char> is_touched_;
+  NodeIndex& touched_;
 };
 
 /// Queues, in the order given, every node of `nodes` whose residual is

@@ -5,6 +5,7 @@
 // of the problem size, never of the thread count) checked end to end on
 // Erdős–Rényi, preferential-attachment, and ring-of-cliques graphs.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -446,6 +447,45 @@ TEST(DeterminismTest, ObservabilityOnAndOffAreBitIdentical) {
   }
 }
 #endif  // IMPREG_OBSERVABILITY
+
+// Bare hk-relax and Nibble at 1 and 4 threads. Their supports span
+// several chunks of the sweep's cut-delta pass, whose pool threads read
+// the calling thread's NodeIndex (a worker's own would be empty).
+TEST(DeterminismTest, LocalClusterKernelsAreThreadCountInvariant) {
+  Rng rng(7);
+  const Graph g = ErdosRenyi(3000, 6.0 / 3000.0, rng);
+  const auto compute = [&g] {
+    HkRelaxOptions hk;
+    hk.delta = 1e-6;
+    const HkRelaxResult a = HeatKernelRelax(g, 0, hk);
+    NibbleOptions nibble;
+    nibble.steps = 20;
+    nibble.epsilon = 1e-6;
+    const NibbleResult b = Nibble(g, 31, nibble);
+    const auto support = [](const Vector& x) {
+      return std::count_if(x.begin(), x.end(),
+                           [](double v) { return v > 0.0; });
+    };
+    EXPECT_GT(support(a.rho), 4 * 64);
+    EXPECT_GT(support(b.distribution), 4 * 64);
+    EXPECT_FALSE(a.set.empty());
+    EXPECT_FALSE(b.set.empty());
+    Vector out = a.rho;
+    out.insert(out.end(), b.distribution.begin(), b.distribution.end());
+    out.insert(out.end(), a.set.begin(), a.set.end());
+    out.insert(out.end(), b.set.begin(), b.set.end());
+    out.insert(out.end(), {a.stats.conductance, b.stats.conductance,
+                           a.dropped_mass, b.truncated_mass});
+    return out;
+  };
+  Vector serial;
+  {
+    const ScopedNumThreads threads(1);
+    serial = compute();
+  }
+  const ScopedNumThreads threads(4);
+  ExpectBitIdentical(serial, compute());
+}
 
 TEST(DeterminismTest, QueryEngineBatchIsThreadCountInvariantWithCacheOnAndOff) {
   // A mixed batch — push (duplicated, so dedup kicks in), three grouped

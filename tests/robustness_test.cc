@@ -20,10 +20,12 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/solve_status.h"
 #include "core/work_budget.h"
 #include "diffusion/heat_kernel.h"
@@ -37,6 +39,7 @@
 #include "graph/generators.h"
 #include "graph/random_graphs.h"
 #include "linalg/cg.h"
+#include "linalg/sparse_vector.h"
 #include "linalg/chebyshev.h"
 #include "linalg/graph_operators.h"
 #include "linalg/lanczos.h"
@@ -498,6 +501,94 @@ TEST(RobustnessTest, PoisonedDenseColumnIsContainedAndNeverCached) {
   EXPECT_EQ(again.source, QuerySource::kCold);
   EXPECT_EQ(again.status, expected[1].status);
   ExpectBitIdentical(again.scores, expected[1].scores);
+}
+
+/// hk-relax and Nibble answers flattened into one vector — ρ, the walk,
+/// sets, cut statistics, work and status — for a single bit comparison.
+Vector LocalSolves(const Graph& g) {
+  HkRelaxOptions hk;
+  hk.delta = 1e-6;
+  const HkRelaxResult a = HeatKernelRelax(g, 0, hk);
+  NibbleOptions nibble;
+  nibble.steps = 20;
+  nibble.epsilon = 1e-6;
+  const NibbleResult b = Nibble(g, 31, nibble);
+  Vector out = a.rho;
+  out.insert(out.end(), b.distribution.begin(), b.distribution.end());
+  for (const auto* set : {&a.set, &b.set}) {
+    out.push_back(static_cast<double>(set->size()));
+    out.insert(out.end(), set->begin(), set->end());
+  }
+  for (const CutStats* stats : {&a.stats, &b.stats}) {
+    out.insert(out.end(), {stats->cut, stats->volume,
+                           stats->complement_volume, stats->conductance});
+  }
+  out.insert(out.end(),
+             {a.dropped_mass, b.truncated_mass, static_cast<double>(a.work),
+              static_cast<double>(b.work), static_cast<double>(a.terms),
+              static_cast<double>(b.best_step),
+              static_cast<double>(a.diagnostics.status),
+              static_cast<double>(b.diagnostics.status)});
+  return out;
+}
+
+// Every exit of hk-relax and Nibble — a budget stop, a walk truncated
+// to nothing, a poisoned term — leaves the thread's NodeIndex clear, so
+// ordinary solves after it on the same thread answer exactly what a
+// fresh thread (fresh index, as in a fresh process) answers.
+TEST(RobustnessTest, LocalKernelExitsLeaveTheThreadIndexClean) {
+  Rng rng(7);
+  const Graph g = ErdosRenyi(3000, 6.0 / 3000.0, rng);
+  std::vector<std::pair<std::string, std::function<void()>>> exits;
+  exits.push_back({"budget-stopped hk-relax", [&g] {
+    WorkBudget budget(200);
+    HkRelaxOptions options;
+    options.budget = &budget;
+    const HkRelaxResult r = HeatKernelRelax(g, 5, options);
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kBudgetExhausted);
+  }});
+  exits.push_back({"budget-stopped Nibble", [&g] {
+    WorkBudget budget(200);
+    NibbleOptions options;
+    options.budget = &budget;
+    const NibbleResult r = Nibble(g, 5, options);
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kBudgetExhausted);
+  }});
+  exits.push_back({"Nibble walk truncated to nothing", [&g] {
+    NibbleOptions options;
+    options.epsilon = 0.5;
+    const NibbleResult r = Nibble(g, 5, options);
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged);
+    EXPECT_EQ(r.diagnostics.iterations, 1);
+    EXPECT_NEAR(r.truncated_mass, 1.0, 1e-12);
+  }});
+  if (fault::Compiled()) {
+    exits.push_back({"hk-relax poisoned at hkrelax/scale", [&g] {
+      fault::Arm("hkrelax/scale", fault::FaultKind::kNaN, 2);
+      const HkRelaxResult r = HeatKernelRelax(g, 5, {});
+      EXPECT_EQ(fault::InjectionCount(), 1);
+      fault::Disarm();
+      EXPECT_EQ(r.diagnostics.status, SolveStatus::kNonFinite);
+    }});
+    exits.push_back({"Nibble poisoned at nibble/mass", [&g] {
+      fault::Arm("nibble/mass", fault::FaultKind::kNaN, 20);
+      const NibbleResult r = Nibble(g, 5, {});
+      EXPECT_EQ(fault::InjectionCount(), 1);
+      fault::Disarm();
+      EXPECT_EQ(r.diagnostics.status, SolveStatus::kNonFinite);
+    }});
+  }
+  for (const int threads : {1, 4}) {
+    const ScopedNumThreads scoped(threads);
+    Vector fresh;
+    std::thread([&] { fresh = LocalSolves(g); }).join();
+    for (const auto& [name, run] : exits) {
+      SCOPED_TRACE(name + " at " + std::to_string(threads) + " threads");
+      run();
+      EXPECT_TRUE(ThreadNodeIndex().empty());
+      ExpectBitIdentical(LocalSolves(g), fresh);
+    }
+  }
 }
 
 // Runs in every build (no injection needed): a pre-exhausted budget

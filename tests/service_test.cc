@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -855,6 +856,67 @@ TEST(WireTest, ShedResponseMatchesGoldenLine) {
             "\"degraded\":true,\"shed\":true,\"tenant\":\"heavy\","
             "\"epoch\":0,\"support\":0,\"work\":0,\"conductance\":1,"
             "\"set\":[],\"top\":[]}");
+}
+
+TEST(WireTest, TopBeyondTheSupportRanksTheWholeSupport) {
+  // `top` comes from the client: a value far above the support ranks
+  // the whole support, sized by it, and prints the line a request
+  // whose `top` is exactly the support gets.
+  QueryResponse response;
+  response.scores.resize(40);
+  for (std::size_t u = 0; u < response.scores.size(); ++u) {
+    // Ties, zeros and negatives; exact in binary, so they print exactly.
+    response.scores[u] = 0.25 * static_cast<double>(u % 7) - 0.5;
+  }
+  response.scores[5] = std::nan("");
+  response.scores[6] = -0.0;
+  std::vector<std::pair<double, NodeId>> expected;
+  for (NodeId u = 0; u < 40; ++u) {
+    if (response.scores[u] > 0.0) expected.emplace_back(response.scores[u], u);
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const std::pair<double, NodeId>& a,
+               const std::pair<double, NodeId>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  ASSERT_GT(expected.size(), 10u);
+
+  QueryRequest huge;
+  QueryRequest exact;
+  std::string error;
+  ASSERT_TRUE(ParseQueryRequest(R"({"id":"q","seeds":[0],"top":2147483647})",
+                                &huge, &error))
+      << error;
+  ASSERT_EQ(huge.top, std::numeric_limits<int>::max());
+  // Past INT_MAX the value saturates instead of wrapping: 2^32 + 5 must
+  // not read as 5.
+  QueryRequest wrapped;
+  ASSERT_TRUE(ParseQueryRequest(R"({"id":"q","seeds":[0],"top":4294967301})",
+                                &wrapped, &error))
+      << error;
+  EXPECT_EQ(wrapped.top, std::numeric_limits<int>::max());
+  ASSERT_TRUE(ParseQueryRequest(R"({"id":"q","seeds":[0],"top":)" +
+                                    std::to_string(expected.size()) + "}",
+                                &exact, &error))
+      << error;
+  const std::string line = QueryResponseToJson(huge, response, 3);
+  EXPECT_EQ(line, QueryResponseToJson(exact, response, 3));
+
+  const JsonParseResult parsed = JsonParse(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.error << "\n" << line;
+  EXPECT_EQ(parsed.value.Find("support")->AsDouble(),
+            static_cast<double>(expected.size()));
+  const JsonValue* top =
+      parsed.value.FindOfType("top", JsonValue::Type::kArray);
+  ASSERT_NE(top, nullptr);
+  ASSERT_EQ(top->Items().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const JsonValue& entry = top->Items()[i];
+    ASSERT_EQ(entry.Items().size(), 2u);
+    EXPECT_EQ(entry.Items()[0].AsDouble(), expected[i].second) << i;
+    EXPECT_EQ(entry.Items()[1].AsDouble(), expected[i].first) << i;
+  }
 }
 
 TEST(QueryEngineTest, HeavyTenantOverloadLeavesLightTenantBitIdentical) {

@@ -1,6 +1,8 @@
 #include "partition/sweep.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,24 +134,30 @@ TEST(SweepTest, TiesBrokenDeterministically) {
   EXPECT_EQ(a.set, b.set);
 }
 
-TEST(SweepTest, DuplicateNodesAreDeduplicated) {
-  // Regression: duplicate candidate ids used to double-count degrees in
-  // the prefix volume scan, corrupting the profile, the reported set,
-  // and its statistics. First occurrence wins, order preserved.
-  Rng rng(9);
-  const Graph g = ErdosRenyi(12, 0.35, rng);
-  Vector values(12);
+TEST(SweepTest, NaNValuesSortLastInIdOrder) {
+  // A NaN key is unordered against every other key, which breaks the
+  // sort's strict weak ordering; a NaN value gets the lowest finite key
+  // instead, so the sweep is the one over that key, NaN nodes last.
+  Rng rng(11);
+  const Graph g = ErdosRenyi(80, 0.08, rng);
+  Vector values(g.NumNodes());
   for (double& v : values) v = rng.NextGaussian();
-  const std::vector<NodeId> with_duplicates = {3, 1, 3, 0, 1, 2, 4, 4, 7, 3};
-  const std::vector<NodeId> deduplicated = {3, 1, 0, 2, 4, 7};
-  const SweepResult dup = SweepCutOverNodes(g, values, with_duplicates);
-  const SweepResult uniq = SweepCutOverNodes(g, values, deduplicated);
-  EXPECT_EQ(dup.order, uniq.order);
-  EXPECT_EQ(dup.conductance_profile, uniq.conductance_profile);
-  EXPECT_EQ(dup.set, uniq.set);
-  EXPECT_DOUBLE_EQ(dup.stats.conductance, uniq.stats.conductance);
-  EXPECT_DOUBLE_EQ(dup.stats.volume, uniq.stats.volume);
-  EXPECT_DOUBLE_EQ(dup.stats.cut, uniq.stats.cut);
+  Vector lowest = values;
+  const std::vector<NodeId> poisoned = {3, 17, 18, 40, 79};
+  for (NodeId u : poisoned) {
+    values[u] = std::nan("");
+    lowest[u] = std::numeric_limits<double>::lowest();
+  }
+  const SweepResult with_nan = SweepCut(g, values);
+  const SweepResult reference = SweepCut(g, lowest);
+  EXPECT_EQ(with_nan.order, reference.order);
+  EXPECT_EQ(with_nan.conductance_profile, reference.conductance_profile);
+  EXPECT_EQ(with_nan.set, reference.set);
+  EXPECT_EQ(with_nan.stats.cut, reference.stats.cut);
+  ASSERT_EQ(with_nan.order.size(), static_cast<std::size_t>(g.NumNodes()));
+  const std::vector<NodeId> tail(with_nan.order.end() - poisoned.size(),
+                                 with_nan.order.end());
+  EXPECT_EQ(tail, poisoned);
 }
 
 TEST(SweepTest, IsolatedNodesSortLastUnderDegreeScaling) {

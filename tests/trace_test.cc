@@ -148,6 +148,50 @@ TEST(TraceTest, PushArcWorkEqualityHoldsThroughBudgetExhaustion) {
             budget.Spent());
 }
 
+TEST(TraceTest, LocalClusterTracesMatchBudgetAndMetrics) {
+  ScopedMetrics metrics;
+  const Graph g = RingOfCliques();
+  WorkBudget hk_budget(1 << 30);  // Never exhausts; the walks charge it.
+  WorkBudget nibble_budget(1 << 30);
+  HkRelaxOptions hk;
+  hk.budget = &hk_budget;
+  NibbleOptions nibble;
+  nibble.budget = &nibble_budget;
+
+  ScopedTraceCapture capture;
+  const HkRelaxResult a = HeatKernelRelax(g, 0, hk);
+  const NibbleResult b = Nibble(g, 0, nibble);
+  ASSERT_EQ(a.diagnostics.status, SolveStatus::kConverged);
+  ASSERT_EQ(b.diagnostics.status, SolveStatus::kConverged);
+
+  // One kArcWork event per walked row, value = its outdegree: the trace
+  // total, the result's work and the budget's charge agree exactly.
+  const SolverTrace* hk_trace = TraceCollector::Get().Latest("hkrelax");
+  const SolverTrace* nibble_trace = TraceCollector::Get().Latest("nibble");
+  ASSERT_NE(hk_trace, nullptr);
+  ASSERT_NE(nibble_trace, nullptr);
+  EXPECT_EQ(
+      static_cast<std::int64_t>(hk_trace->KindTotal(TraceEventKind::kArcWork)),
+      a.work);
+  EXPECT_EQ(static_cast<std::int64_t>(
+                nibble_trace->KindTotal(TraceEventKind::kArcWork)),
+            b.work);
+  EXPECT_EQ(hk_budget.Spent(), a.work);
+  EXPECT_EQ(nibble_budget.Spent(), b.work);
+
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.hkrelax.solves")->Value(), 1);
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.hkrelax.terms")->Value(),
+            a.terms);
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.hkrelax.arc_work")->Value(),
+            a.work);
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.nibble.solves")->Value(), 1);
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.nibble.steps")->Value(),
+            b.diagnostics.iterations);
+  EXPECT_EQ(registry.FindOrCreateCounter("solver.nibble.arc_work")->Value(),
+            b.work);
+}
+
 TEST(TraceTest, IncrementalPprTraceMatchesBudgetAndMetrics) {
   ScopedMetrics metrics;
   Rng rng(21);
