@@ -42,15 +42,6 @@ void GaugeTenantSpend(const std::string& tenant, std::int64_t spent) {
 
 }  // namespace
 
-const char* AdmissionDecisionName(AdmissionDecision decision) {
-  switch (decision) {
-    case AdmissionDecision::kExact:    return "exact";
-    case AdmissionDecision::kDegraded: return "degraded";
-    case AdmissionDecision::kShed:     return "shed";
-  }
-  return "unknown";
-}
-
 TenantBudgetPool::TenantBudgetPool(const TenantPolicy& policy)
     : policy_(policy) {}
 
@@ -146,16 +137,6 @@ void TenantBudgetPool::Settle(const std::string& tenant,
   TenantAdmissionStats& stats = stats_[tenant];
   stats.spent_arcs += actual_work;
   GaugeTenantSpend(tenant, stats.spent_arcs);
-}
-
-std::int64_t TenantBudgetPool::Spent(const std::string& tenant) const {
-  const auto it = ledgers_.find(tenant);
-  return it != ledgers_.end() ? it->second.Spent() : 0;
-}
-
-void TenantBudgetPool::Reset() {
-  ledgers_.clear();
-  stats_.clear();
 }
 
 }  // namespace impreg

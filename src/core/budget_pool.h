@@ -49,9 +49,6 @@ enum class AdmissionDecision {
   kShed,      ///< Refused: no execution, response carries kShed.
 };
 
-/// Stable names: "exact", "degraded", "shed".
-const char* AdmissionDecisionName(AdmissionDecision decision);
-
 /// The ladder's thresholds, shared by every tenant (capacity can be
 /// overridden per tenant).
 struct TenantPolicy {
@@ -107,24 +104,14 @@ class TenantBudgetPool {
   /// cache hits (which settle at 0) cannot shift the shed set.
   void Settle(const std::string& tenant, std::int64_t actual_work);
 
-  /// The billed admission-time spend for `tenant` (0 for unknown
-  /// tenants).
-  std::int64_t Spent(const std::string& tenant) const;
-
-  /// The capacity in force for `tenant`.
-  std::int64_t Capacity(const std::string& tenant) const;
-
   /// Per-tenant counters, name-sorted (stable iteration for reports).
   const std::map<std::string, TenantAdmissionStats>& stats() const {
     return stats_;
   }
 
-  const TenantPolicy& policy() const { return policy_; }
-
-  /// Drops every ledger and counter (a fresh accounting window).
-  void Reset();
-
  private:
+  /// The capacity in force for `tenant`.
+  std::int64_t Capacity(const std::string& tenant) const;
   WorkBudget& LedgerFor(const std::string& tenant);
 
   TenantPolicy policy_;

@@ -17,7 +17,7 @@
 ///   flow/        max-flow, MQI, FlowImprove, multilevel (§3.2 flow
 ///                family)
 ///   ncp/         network community profiles + niceness (Figure 1)
-///   service/     batched query serving + deterministic result cache
+///   service/     batched query serving, serve loop, result cache
 ///   core/        the ApproximateSecondEigenvector facade
 
 #include "core/approx_eigenvector.h"
@@ -75,6 +75,7 @@
 #include "service/durability/wal.h"
 #include "service/query_engine.h"
 #include "service/result_cache.h"
+#include "service/serve_loop.h"
 #include "service/wire.h"
 #include "streaming/dynamic_graph.h"
 #include "streaming/incremental_ppr.h"

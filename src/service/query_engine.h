@@ -60,7 +60,8 @@
 /// degraded-but-marked → shed (kShed, `shed = true`). Admission runs
 /// sequentially in arrival order, so the shed set is a pure function of
 /// (tenant, arrival index, pool state) — bit-identical at any thread
-/// count, cache on or off. See docs/load_testing.md.
+/// count, cache on or off (docs/serving.md). A request stream drives
+/// the engine through the serve loop in service/serve_loop.h.
 
 namespace impreg {
 
@@ -258,12 +259,8 @@ class QueryEngine {
   const ResultCache& cache() const { return cache_; }
 
   /// The admission ledgers (meaningful when options.admission.enabled;
-  /// exposed for load reports and tests).
+  /// exposed for reports and tests).
   const TenantBudgetPool& admission_pool() const { return pool_; }
-
-  /// Drops every admission ledger and counter (fresh accounting window;
-  /// cache and graph are untouched).
-  void ResetAdmission() { pool_.Reset(); }
 
   /// The canonical exact cache key for `query` (exposed so tests can
   /// pin the keying scheme). Seeds are fingerprinted sorted and

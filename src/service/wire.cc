@@ -70,6 +70,23 @@ bool ReadInt(const JsonValue& obj, const char* key, std::int64_t* out) {
   return true;
 }
 
+/// Reads an int query parameter. A non-integral number is absent, as in
+/// ReadInt; an integral one outside int range is an error, never a cast.
+bool ReadIntParameter(const JsonValue& obj, const char* key, int* out,
+                      std::string* error) {
+  double d = 0.0;
+  if (!ReadNumber(obj, key, &d) || !std::isfinite(d) || d != std::floor(d)) {
+    return true;
+  }
+  if (d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max()) {
+    *error = std::string("\"") + key + "\" must be an integer in int range";
+    return false;
+  }
+  *out = static_cast<int>(d);
+  return true;
+}
+
 /// Reads one edit-endpoint id: must be present, integral, and in
 /// NodeId range. Anything else is a hard parse error.
 bool ReadNodeId(const JsonValue& obj, const char* key, NodeId* out) {
@@ -164,16 +181,13 @@ bool ParseQueryRequest(const std::string& json_line, QueryRequest* out,
   ReadNumber(obj, "gamma", &out->query.gamma);
   ReadNumber(obj, "epsilon", &out->query.epsilon);
   ReadNumber(obj, "tolerance", &out->query.tolerance);
-  std::int64_t iters = 0;
-  if (ReadInt(obj, "max_iterations", &iters)) {
-    out->query.max_iterations = static_cast<int>(iters);
+  if (!ReadIntParameter(obj, "max_iterations", &out->query.max_iterations,
+                        error)) {
+    return false;
   }
   ReadNumber(obj, "t", &out->query.t);
   ReadNumber(obj, "delta", &out->query.delta);
-  std::int64_t steps = 0;
-  if (ReadInt(obj, "steps", &steps)) {
-    out->query.steps = static_cast<int>(steps);
-  }
+  if (!ReadIntParameter(obj, "steps", &out->query.steps, error)) return false;
   ReadInt(obj, "max_work", &out->query.max_work);
   const JsonValue* tenant = obj.FindOfType("tenant", JsonValue::Type::kString);
   if (tenant != nullptr) out->query.tenant = tenant->AsString();

@@ -21,7 +21,9 @@
 /// entirely" sentinel — and must be finite and non-negative (a
 /// positive value is a partial weight decrement). All ids must be
 /// integral numbers in NodeId range; anything else is a parse error,
-/// never a truncated cast.
+/// never a truncated cast. So is an integral `steps` or
+/// `max_iterations` outside int range (the error names the field);
+/// `top` saturates at INT_MAX instead.
 ///
 /// `op` defaults to "query". Query fields beyond `seeds` are optional
 /// and default to the Query struct defaults; `method` is one of "ppr",

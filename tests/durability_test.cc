@@ -37,6 +37,7 @@
 #include "service/durability/snapshot.h"
 #include "service/durability/wal.h"
 #include "service/query_engine.h"
+#include "service/serve_loop.h"
 #include "streaming/dynamic_graph.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
@@ -93,6 +94,17 @@ void ApplyEdit(DynamicGraph& g, const durability::WalRecord& e) {
   } else {
     g.AddEdge(e.u, e.v, e.weight);
   }
+}
+
+/// One history entry as the serve loop's request.
+QueryRequest EditRequest(const durability::WalRecord& e) {
+  QueryRequest edit;
+  edit.is_add_edge = !e.remove;
+  edit.is_remove_edge = e.remove;
+  edit.u = e.u;
+  edit.v = e.v;
+  edit.weight = e.weight;
+  return edit;
 }
 
 /// Appends one history entry through the type-matching WAL call.
@@ -807,40 +819,37 @@ void PrepareFullScene(const fs::path& dir, std::string* wal_path,
   }
 }
 
-/// A serve loop under fault injection: WAL-append-then-apply for each
-/// edit, snapshot every 2 acknowledged edits, first non-usable append
-/// status = the crash. Returns the number of *acknowledged* edits.
-std::int64_t SimulateServeUntilFailure(const std::string& wal_path,
-                                       const std::string& snap_dir,
-                                       SolveStatus* first_failure) {
+/// Serves the edit history through the serve loop (snapshot every 2
+/// edits) under fault injection; the first refused append is the crash,
+/// while a failed snapshot is recorded and serving goes on. Returns the
+/// number of *acknowledged* edits and the first failure's status.
+std::int64_t ServeEditsUntilFailure(const std::string& wal_path,
+                                    const std::string& snap_dir,
+                                    SolveStatus* first_failure) {
   *first_failure = SolveStatus::kConverged;
-  DynamicGraph g = DynamicGraph::FromGraph(BaseGraph());
+  QueryEngine engine(DynamicGraph::FromGraph(BaseGraph()));
   durability::WriteAheadLog wal;
   const SolveStatus open_status = wal.Open(wal_path, {});
   if (open_status != SolveStatus::kConverged) {
     *first_failure = open_status;
     return 0;
   }
+  ServeLoop loop(engine, &wal, snap_dir, /*snapshot_every=*/2);
   std::int64_t acknowledged = 0;
   for (const durability::WalRecord& e : Edits()) {
-    const SolveStatus s = AppendEdit(wal, e);
-    if (s != SolveStatus::kConverged) {
+    const SubmitResult submitted = loop.Submit(EditRequest(e));
+    EXPECT_NE(submitted.outcome, SubmitOutcome::kRejected) << submitted.detail;
+    if (submitted.outcome == SubmitOutcome::kNotAcknowledged) {
       // Write-ahead contract: the edit was never acknowledged and must
       // not land on the in-memory graph. Treat it as the crash.
-      *first_failure = s;
+      *first_failure = submitted.status;
+      EXPECT_EQ(engine.Epoch(), acknowledged);
       return acknowledged;
     }
-    ApplyEdit(g, e);
     ++acknowledged;
-    if (acknowledged % 2 == 0 && !snap_dir.empty()) {
-      const durability::SnapshotWriteResult w =
-          durability::WriteSnapshot(snap_dir, acknowledged, g, {});
-      if (w.status != SolveStatus::kConverged &&
-          *first_failure == SolveStatus::kConverged) {
-        // A failed snapshot is not fatal: the previous one stands and
-        // the WAL covers the gap. Record it and keep serving.
-        *first_failure = w.status;
-      }
+    if (submitted.outcome == SubmitOutcome::kSnapshotFailed &&
+        *first_failure == SolveStatus::kConverged) {
+      *first_failure = submitted.status;
     }
   }
   return acknowledged;
@@ -864,7 +873,7 @@ TEST(DurabilityChaosTest, EveryFaultSiteRecoversConsistently) {
     fault::Arm("wal/append", fault::FaultKind::kNaN, /*trigger_hit=*/3);
     SolveStatus failure;
     const std::int64_t acked =
-        SimulateServeUntilFailure(wal_path, "", &failure);
+        ServeEditsUntilFailure(wal_path, "", &failure);
     EXPECT_GT(fault::InjectionCount(), 0);
     fault::Disarm();
     EXPECT_EQ(failure, SolveStatus::kInvalidInput);
@@ -886,7 +895,7 @@ TEST(DurabilityChaosTest, EveryFaultSiteRecoversConsistently) {
     fault::Arm("wal/fsync", fault::FaultKind::kNaN, /*trigger_hit=*/4);
     SolveStatus failure;
     const std::int64_t acked =
-        SimulateServeUntilFailure(wal_path, "", &failure);
+        ServeEditsUntilFailure(wal_path, "", &failure);
     EXPECT_GT(fault::InjectionCount(), 0);
     fault::Disarm();
     EXPECT_EQ(failure, SolveStatus::kBreakdown);
@@ -907,7 +916,7 @@ TEST(DurabilityChaosTest, EveryFaultSiteRecoversConsistently) {
     fault::Arm("snapshot/write", fault::FaultKind::kNaN, /*trigger_hit=*/2);
     SolveStatus failure;
     const std::int64_t acked =
-        SimulateServeUntilFailure(wal_path, snap_dir, &failure);
+        ServeEditsUntilFailure(wal_path, snap_dir, &failure);
     EXPECT_GT(fault::InjectionCount(), 0);
     fault::Disarm();
     EXPECT_EQ(failure, SolveStatus::kInvalidInput);
@@ -984,7 +993,7 @@ TEST(DurabilityChaosTest, EveryFaultSiteRecoversConsistently) {
                /*trigger_hit=*/1);
     SolveStatus failure;
     const std::int64_t acked =
-        SimulateServeUntilFailure(wal_path, "", &failure);
+        ServeEditsUntilFailure(wal_path, "", &failure);
     EXPECT_GT(fault::InjectionCount(), 0);
     fault::Disarm();
     EXPECT_EQ(failure, SolveStatus::kInvalidInput);
@@ -1064,18 +1073,13 @@ TEST(DurabilityTest, WarmRestartSurvivesRestart) {
     QueryEngine engine(DynamicGraph::FromGraph(BaseGraph()));
     durability::WriteAheadLog wal;
     ASSERT_EQ(wal.Open(wal_path, {}), SolveStatus::kConverged);
-    const QueryResponse first = engine.Run(coarse);
-    ASSERT_EQ(first.source, QuerySource::kCold);
-    ASSERT_EQ(wal.AppendAddEdge(edits[0].u, edits[0].v, edits[0].weight),
-              SolveStatus::kConverged);
-    engine.AddEdge(edits[0].u, edits[0].v, edits[0].weight);
-    ASSERT_EQ(durability::WriteSnapshot(snap_dir, 1, engine.graph(),
-                                        engine.cache().ExportEntries())
-                  .status,
-              SolveStatus::kConverged);
-    ASSERT_EQ(wal.AppendAddEdge(edits[1].u, edits[1].v, edits[1].weight),
-              SolveStatus::kConverged);
-    engine.AddEdge(edits[1].u, edits[1].v, edits[1].weight);
+    ServeLoop loop(engine, &wal, snap_dir);
+    ASSERT_EQ(engine.Run(coarse).source, QuerySource::kCold);
+    ASSERT_EQ(loop.Submit(EditRequest(edits[0])).outcome,
+              SubmitOutcome::kAccepted);
+    ASSERT_EQ(loop.WriteSnapshot().status, SolveStatus::kConverged);
+    ASSERT_EQ(loop.Submit(EditRequest(edits[1])).outcome,
+              SubmitOutcome::kAccepted);
     // Crash: no clean shutdown, no final snapshot.
   }
 

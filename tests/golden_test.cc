@@ -221,7 +221,7 @@ TEST(GoldenTest, SelfDiffPassesAndTwoXSlowdownFailsTheGate) {
   EXPECT_TRUE(DiffBenchReports(baseline.records, slowdown.records, 1.5).ok());
 }
 
-// —— Load-harness fixtures: percentile records and the shed line ——
+// —— p99 gate fixtures (percentile records) and the shed line ——
 
 TEST(GoldenTest, LoadFixturesCarryPercentilesAndTheP99GateTrips) {
   const BenchParseResult baseline =

@@ -50,9 +50,8 @@
 #include "partition/push.h"
 #include "service/durability/snapshot.h"
 #include "service/durability/wal.h"
-#include "service/load/harness.h"
-#include "service/load/workload.h"
 #include "service/query_engine.h"
+#include "service/serve_loop.h"
 #include "streaming/dynamic_graph.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -283,30 +282,35 @@ std::vector<Scenario> AllScenarios() {
     return Outcome{diag.status, true};
   }});
 
-  scenarios.push_back({"load", {"load/", "service/admission"}, [] {
-    // The serving-tier workload path: generation (interarrival site),
-    // admission (budget site), and the harness clock (latency site).
-    // Cache disabled so the unowned service/cache_insert site — armed
-    // by its own dedicated test below — stays out of this sweep, and
-    // an unlimited pool so the healthy run admits everything exact.
+  scenarios.push_back({"admission", {"service/admission"}, [] {
+    // The serve loop under admission control: an exhausted pool must
+    // shed explicitly. Cache off keeps the unowned service/cache_insert
+    // site (armed by its own test below) out of this sweep; the pool is
+    // unlimited, so the healthy run admits everything exact.
     const Graph g = CavemanGraph(3, 8);
-    WorkloadOptions options;
-    options.seed = 13;
-    options.num_requests = 24;
-    options.batch_size = 6;
-    options.epsilon = 1e-4;
-    options.tenants = {"a"};
-    const Workload workload = GenerateWorkload(options, g.NumNodes());
     QueryEngine::Options engine_options;
     engine_options.enable_cache = false;
     engine_options.admission.enabled = true;
     QueryEngine engine(g, engine_options);
-    const LoadStats stats = RunLoadWorkload(engine, workload);
-    bool finite = std::isfinite(stats.mean_ns) && std::isfinite(stats.p99_ns);
-    for (const ResponseDigest& digest : stats.digests) {
-      finite = finite && std::isfinite(digest.checksum);
+    ServeLoop loop(engine);
+    for (NodeId i = 0; i < 24; ++i) {
+      QueryRequest request;
+      request.query.seeds = {i};
+      request.query.epsilon = 1e-4;
+      request.query.tenant = "a";
+      loop.Submit(request);
     }
-    return Outcome{stats.status, finite};
+    SolveStatus status = SolveStatus::kConverged;
+    bool finite = true;
+    loop.Flush([&](ServedGroup& group) {
+      for (const QueryResponse& response : group.responses) {
+        status = MergeStatus(status, response.status);
+        for (const double score : response.scores) {
+          finite = finite && std::isfinite(score);
+        }
+      }
+    });
+    return Outcome{status, finite};
   }});
 
   scenarios.push_back({"ncp_flow", {"ncp/flow"}, [] {

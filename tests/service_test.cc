@@ -825,6 +825,33 @@ TEST(WireTest, ParsesQueryAndAddEdgeLines) {
   EXPECT_FALSE(ParseQueryRequest("not json", &request, &error));
 }
 
+TEST(WireTest, IntParametersOutsideIntRangeAreParseErrors) {
+  // `steps` and `max_iterations` are ints: an integral value past the
+  // int range is refused by name, never wrapped (2^32 + 1 once read as
+  // 1, and 2^31 as INT_MIN). The ends of the range parse as before.
+  for (const std::string field : {"steps", "max_iterations"}) {
+    QueryRequest request;
+    std::string error;
+    const auto parse = [&](const std::string& value) {
+      return ParseQueryRequest(R"({"method":"nibble","seeds":[0],")" +
+                                   field + "\":" + value + "}",
+                               &request, &error);
+    };
+    for (const char* value :
+         {"4294967297", "2147483648", "-2147483649", "1e20"}) {
+      EXPECT_FALSE(parse(value)) << field << " = " << value;
+      EXPECT_EQ(error, "\"" + field + "\" must be an integer in int range");
+    }
+    for (const int value : {std::numeric_limits<int>::max(),
+                            std::numeric_limits<int>::min(), 7}) {
+      ASSERT_TRUE(parse(std::to_string(value))) << error;
+      EXPECT_EQ(field == "steps" ? request.query.steps
+                                 : request.query.max_iterations,
+                value);
+    }
+  }
+}
+
 TEST(WireTest, ShedResponseMatchesGoldenLine) {
   // A shed is a refusal serialized honestly: status "shed", both the
   // shed and degraded flags set, zero work, empty result arrays. The

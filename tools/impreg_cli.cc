@@ -300,48 +300,22 @@ bool FlagValue(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-// Streams a JSONL request file into `engine`. Query lines are grouped
-// by the epoch they were issued at: each group pins a SnapshotView, so
-// an edit line (add-edge or remove-edge) never has to wait for (or
-// flush) in-flight queries — the group executes later against its
-// pinned epoch and answers exactly what it would have answered at
-// issue time (snapshot-isolated serving; docs/durability.md).
-//
-// Durability (optional): with `wal` set, every edit is appended and
-// fsynced *before* it mutates the graph — write-ahead, so an
-// acknowledged edit survives a crash. With `snapshot_dir` set, a
-// snapshot is published every `snapshot_every` edits (and once at EOF),
-// bounding replay time.
-int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
-                       durability::WriteAheadLog* wal,
-                       const std::string& snapshot_dir, int snapshot_every) {
+// Parses a JSONL request file and submits each line to a ServeLoop over
+// `engine` (service/serve_loop.h); at end of input, prints every group's
+// response lines and, with `snapshot_dir` set, writes one more snapshot.
+int ServeRequestFile(QueryEngine& engine, const std::string& requests_path,
+                     durability::WriteAheadLog* wal = nullptr,
+                     const std::string& snapshot_dir = "",
+                     int snapshot_every = 0) {
   std::ifstream in(requests_path);
   if (!in) {
     std::fprintf(stderr, "impreg_cli: cannot read '%s'\n",
                  requests_path.c_str());
     return kExitInput;
   }
-
-  const auto snapshot_now = [&]() -> bool {
-    const durability::SnapshotWriteResult written = durability::WriteSnapshot(
-        snapshot_dir, engine.Epoch(), engine.graph(),
-        engine.cache().ExportEntries());
-    if (written.status != SolveStatus::kConverged) {
-      std::fprintf(stderr, "impreg_cli: snapshot failed: %s\n",
-                   written.detail.c_str());
-      return false;
-    }
-    return true;
-  };
-
-  struct Group {
-    DynamicGraph::SnapshotView snap;
-    std::vector<QueryRequest> requests;
-  };
-  std::vector<Group> groups;
+  ServeLoop loop(engine, wal, snapshot_dir, snapshot_every);
   std::string line;
   int line_number = 0;
-  std::int64_t edits_since_snapshot = 0;
   while (std::getline(in, line)) {
     ++line_number;
     const std::size_t first = line.find_first_not_of(" \t\r");
@@ -353,89 +327,34 @@ int ServeRequestStream(QueryEngine& engine, const std::string& requests_path,
                    line_number, error.c_str());
       return kExitInput;
     }
-    if (request.is_add_edge || request.is_remove_edge) {
-      const char* op = request.is_add_edge ? "add-edge" : "remove-edge";
-      const NodeId n = engine.graph().NumNodes();
-      if (request.u < 0 || request.u >= n || request.v < 0 ||
-          request.v >= n) {
-        std::fprintf(stderr,
-                     "impreg_cli: %s:%d: %s node out of range "
-                     "[0, %d)\n",
-                     requests_path.c_str(), line_number, op, n);
-        return kExitInput;
-      }
-      if (request.is_remove_edge) {
-        // Pre-validate against the live graph so a bad request line is
-        // an input error at its file:line, never a trip of
-        // DynamicGraph::RemoveEdge's abort contract.
-        const double stored = engine.graph().EdgeWeight(request.u, request.v);
-        if (stored == 0.0) {
-          std::fprintf(stderr,
-                       "impreg_cli: %s:%d: remove-edge: no edge {%d, %d}\n",
-                       requests_path.c_str(), line_number, request.u,
-                       request.v);
-          return kExitInput;
-        }
-        if (request.weight > stored) {
-          std::fprintf(stderr,
-                       "impreg_cli: %s:%d: remove-edge weight %g exceeds "
-                       "stored weight %g\n",
-                       requests_path.c_str(), line_number, request.weight,
-                       stored);
-          return kExitInput;
-        }
-      }
-      if (wal != nullptr) {
-        std::string detail;
-        const SolveStatus appended =
-            request.is_add_edge
-                ? wal->AppendAddEdge(request.u, request.v, request.weight,
-                                     &detail)
-                : wal->AppendRemoveEdge(request.u, request.v, request.weight,
-                                        &detail);
-        if (appended != SolveStatus::kConverged) {
-          std::fprintf(stderr,
-                       "impreg_cli: %s:%d: edit not acknowledged: %s\n",
-                       requests_path.c_str(), line_number, detail.c_str());
-          return kExitSolver;
-        }
-      }
-      if (request.is_add_edge) {
-        engine.AddEdge(request.u, request.v, request.weight);
-      } else {
-        engine.RemoveEdge(request.u, request.v, request.weight);
-      }
-      if (!snapshot_dir.empty() && snapshot_every > 0 &&
-          ++edits_since_snapshot >= snapshot_every) {
-        if (!snapshot_now()) return kExitSolver;
-        edits_since_snapshot = 0;
-      }
-      continue;
+    const SubmitResult submitted = loop.Submit(std::move(request));
+    if (submitted.outcome == SubmitOutcome::kSnapshotFailed) {
+      std::fprintf(stderr, "impreg_cli: %s\n", submitted.detail.c_str());
+      return kExitSolver;
     }
-    if (groups.empty() || groups.back().snap.epoch() != engine.Epoch()) {
-      groups.push_back(Group{engine.PinSnapshot(), {}});
+    if (submitted.outcome != SubmitOutcome::kAccepted) {
+      std::fprintf(stderr, "impreg_cli: %s:%d: %s\n", requests_path.c_str(),
+                   line_number, submitted.detail.c_str());
+      return submitted.outcome == SubmitOutcome::kRejected ? kExitInput
+                                                           : kExitSolver;
     }
-    groups.back().requests.push_back(std::move(request));
   }
 
   bool any_unusable = false;
-  for (Group& group : groups) {
-    std::vector<Query> queries;
-    queries.reserve(group.requests.size());
-    for (const QueryRequest& request : group.requests) {
-      queries.push_back(request.query);
+  loop.Flush([&any_unusable](ServedGroup& group) {
+    for (std::size_t i = 0; i < group.lines.size(); ++i) {
+      if (!StatusIsUsable(group.responses[i].status)) any_unusable = true;
+      std::printf("%s\n", group.lines[i].c_str());
     }
-    const std::vector<QueryResponse> responses =
-        engine.RunBatchOn(group.snap, queries);
-    for (std::size_t i = 0; i < group.requests.size(); ++i) {
-      if (!StatusIsUsable(responses[i].status)) any_unusable = true;
-      std::printf("%s\n",
-                  QueryResponseToJson(group.requests[i], responses[i],
-                                      group.snap.epoch())
-                      .c_str());
+  });
+  if (!snapshot_dir.empty()) {
+    const durability::SnapshotWriteResult written = loop.WriteSnapshot();
+    if (written.status != SolveStatus::kConverged) {
+      std::fprintf(stderr, "impreg_cli: snapshot failed: %s\n",
+                   written.detail.c_str());
+      return kExitSolver;
     }
   }
-  if (!snapshot_dir.empty() && !snapshot_now()) return kExitSolver;
   if (any_unusable) {
     std::fprintf(stderr,
                  "impreg_cli: one or more queries returned an unusable "
@@ -467,8 +386,7 @@ int CmdQueryBatch(int argc, char** argv) {
   }
   const Graph g = LoadOrDie(graph_path);
   QueryEngine engine(g);
-  return ServeRequestStream(engine, requests_path, /*wal=*/nullptr,
-                            /*snapshot_dir=*/"", /*snapshot_every=*/0);
+  return ServeRequestFile(engine, requests_path);
 }
 
 void PrintRecoveryReport(const durability::RecoveryReport& report,
@@ -556,9 +474,9 @@ int CmdServe(int argc, char** argv) {
       return kExitInput;
     }
   }
-  return ServeRequestStream(*engine, requests_path,
-                            wal.is_open() ? &wal : nullptr, snapshot_dir,
-                            snapshot_every);
+  return ServeRequestFile(*engine, requests_path,
+                          wal.is_open() ? &wal : nullptr, snapshot_dir,
+                          snapshot_every);
 }
 
 // recover: run the recovery ladder and report what it found — the
